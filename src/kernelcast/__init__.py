@@ -17,16 +17,16 @@ from .kernelmap import MappedDataset, kernel_value, map_dataset
 from .modelsel import (Configuration, KmsModel, SearchReport,
                        balanced_error_rate, enumerate_grid, evaluate_config,
                        grid_search, kms_fit, kms_predict, random_search)
-from .sampling import (ReferenceSet, RegionAssignment, finalize_references,
-                       make_reference_set, sample_density, sample_fft,
-                       sample_kmeans, sample_random)
+from .sampling import (ReferenceSet, finalize_references, make_reference_set,
+                       sample_density, sample_fft, sample_kmeans,
+                       sample_random)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "FoldPlan",
     "KmsModel", "KnnParams", "MappedDataset", "ReferenceSet",
-    "RegionAssignment", "ScalerSpec", "SearchReport", "apply_scaler",
+    "ScalerSpec", "SearchReport", "apply_scaler",
     "balanced_error_rate", "build_ensemble", "centroid", "consensus_curve",
     "distance", "ensemble_predict", "enumerate_grid", "evaluate_config",
     "finalize_references", "fit_scaler", "grid_search", "kernel_value",

@@ -60,7 +60,7 @@ def cmd_search(args) -> int:
     report = _run_named_search(ds, args.mode, sampler_filter, args.budget,
                                args.folds, args.seed, args.scaler)
     serialize.save(report, args.out)
-    best = report.entries[report.best_index]
+    best = report.best
     print(f"evaluated {len(report.entries)} configurations; "
           f"best cv_ber {best.cv_ber:.6f} -> {args.out}")
     return 0

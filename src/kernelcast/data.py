@@ -75,23 +75,17 @@ def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[
     Without a vocabulary, ids are assigned in order of first appearance.
     With one, unseen labels are an error.
     """
-    if vocabulary is None:
-        names: list[str] = []
-        index: dict[str, int] = {}
-        ids = np.empty(len(raw), dtype=np.int64)
-        for i, name in enumerate(raw):
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-            ids[i] = index[name]
-        return ids, names
-    index = {name: i for i, name in enumerate(vocabulary)}
+    names = [] if vocabulary is None else list(vocabulary)
+    index = {name: i for i, name in enumerate(names)}
     ids = np.empty(len(raw), dtype=np.int64)
     for i, name in enumerate(raw):
         if name not in index:
-            raise DataError(f"label {name!r} not in the model vocabulary")
+            if vocabulary is not None:
+                raise DataError(f"label {name!r} not in the model vocabulary")
+            index[name] = len(names)
+            names.append(name)
         ids[i] = index[name]
-    return ids, list(vocabulary)
+    return ids, names
 
 
 def _read_rows(path, has_header: bool) -> tuple[list[str] | None, list[list[str]], int]:
@@ -134,6 +128,26 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
     return value
 
 
+def _parse_rows(path, rows: list[list[str]], first_line: int,
+                label_idx: int | None = None) -> tuple[np.ndarray, list[str]]:
+    """Parse equal-width rows into a feature matrix, keeping column ``label_idx`` as text."""
+    width = len(rows[0])
+    features = np.empty((len(rows), width - (label_idx is not None)), dtype=np.float64)
+    raw_labels: list[str] = []
+    for i, row in enumerate(rows):
+        line = i + first_line
+        if len(row) != width:
+            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
+        k = 0
+        for j, cell in enumerate(row):
+            if j == label_idx:
+                raw_labels.append(cell.strip())
+                continue
+            features[i, k] = _parse_cell(cell.strip(), line, j + 1)
+            k += 1
+    return features, raw_labels
+
+
 def load_csv(path, label_column=-1, has_header: bool = False,
              vocabulary: list[str] | None = None) -> Dataset:
     """Load a labeled dataset from an RFC-4180-style CSV file.
@@ -155,21 +169,7 @@ def load_csv(path, label_column=-1, has_header: bool = False,
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus the label column")
     label_idx = _resolve_column(label_column, header, width)
-
-    features = np.empty((len(rows), width - 1), dtype=np.float64)
-    raw_labels: list[str] = []
-    for i, row in enumerate(rows):
-        line = i + first_line
-        if len(row) != width:
-            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            features[i, k] = _parse_cell(cell.strip(), line, j + 1)
-            k += 1
-
+    features, raw_labels = _parse_rows(path, rows, first_line, label_idx)
     labels, names = encode_labels(raw_labels, vocabulary)
     if vocabulary is None and len(names) < 2:
         raise DataError(f"{path}: need at least 2 classes, found {len(names)}")
@@ -181,15 +181,7 @@ def load_feature_csv(path, has_header: bool = False) -> np.ndarray:
     _, rows, first_line = _read_rows(path, has_header)
     if not rows:
         raise DataError(f"{path}: empty file")
-    width = len(rows[0])
-    features = np.empty((len(rows), width), dtype=np.float64)
-    for i, row in enumerate(rows):
-        line = i + first_line
-        if len(row) != width:
-            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            features[i, j] = _parse_cell(cell.strip(), line, j + 1)
-    return features
+    return _parse_rows(path, rows, first_line)[0]
 
 
 def _round_half_up(x: float) -> int:

@@ -174,15 +174,18 @@ def enumerate_grid(scaler: str = "none") -> list[Configuration]:
 
 
 @dataclass
-class FittedPipeline:
-    """Everything fit_pipeline learned from one training set."""
+class KmsModel:
+    """A fitted kernel-mapping classifier ready for prediction."""
 
+    config: Configuration
     scaler: ScalerSpec
     refs: object
     inner: KnnModel | GnbModel
+    label_names: list[str]
+    cv_ber: float | None = None
 
 
-def fit_pipeline(cfg: Configuration, train: Dataset, seed: int) -> FittedPipeline:
+def fit_pipeline(cfg: Configuration, train: Dataset, seed: int) -> KmsModel:
     """Fit scaler, references, and internal classifier on one training set."""
     if train.labels is None:
         raise SearchError("training data must be labeled")
@@ -195,17 +198,16 @@ def fit_pipeline(cfg: Configuration, train: Dataset, seed: int) -> FittedPipelin
         inner = knn_fit(mapped, cfg.knn, train.n_classes)
     else:
         inner = gnb_fit(mapped, train.n_classes)
-    return FittedPipeline(spec, refs, inner)
+    return KmsModel(cfg, spec, refs, inner, list(train.label_names))
 
 
-def pipeline_predict(fitted: FittedPipeline, cfg: Configuration,
-                     features: np.ndarray) -> np.ndarray:
+def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
     """Scale, map, and classify raw query rows."""
-    scaled = fitted.scaler.transform(np.asarray(features, dtype=np.float64))
-    mapped = map_matrix(scaled, fitted.refs, cfg.kernel)
-    if cfg.classifier == "knn":
-        return knn_predict(fitted.inner, mapped)
-    return gnb_predict(fitted.inner, mapped)
+    scaled = model.scaler.transform(np.asarray(features, dtype=np.float64))
+    mapped = map_matrix(scaled, model.refs, model.config.kernel)
+    if model.config.classifier == "knn":
+        return knn_predict(model.inner, mapped)
+    return gnb_predict(model.inner, mapped)
 
 
 def evaluate_config(cfg: Configuration, ds: Dataset, folds: FoldPlan, seed: int) -> float:
@@ -220,7 +222,7 @@ def evaluate_config(cfg: Configuration, ds: Dataset, folds: FoldPlan, seed: int)
     for fold in range(folds.fold_count):
         train, held_out = split_fold(ds, folds, fold)
         fitted = fit_pipeline(cfg, train, rand.seed_from(seed, rand.FOLD_EVAL, digest, fold))
-        predicted = pipeline_predict(fitted, cfg, held_out.features)
+        predicted = pipeline_predict(fitted, held_out.features)
         bers.append(balanced_error_rate(held_out.labels, predicted, ds.n_classes))
     return float(np.mean(bers))
 
@@ -268,7 +270,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         try:
             ber = evaluate_config(cfg, ds, folds, seed)
             error = None
-        except Exception as exc:  # failed configurations stay in the report
+        except ValueError as exc:  # domain errors only; anything else is a bug and propagates
             ber = math.inf
             error = str(exc)
         return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error)
@@ -319,29 +321,16 @@ def grid_search(ds: Dataset, fold_count: int = DEFAULT_FOLD_COUNT, seed: int = 0
     return _run_search(ds, grid, fold_count, seed, scaler, "grid", sampler_filter, threads)
 
 
-@dataclass
-class KmsModel:
-    """A fitted kernel-mapping classifier ready for prediction."""
-
-    config: Configuration
-    scaler: ScalerSpec
-    refs: object
-    inner: KnnModel | GnbModel
-    label_names: list[str]
-    cv_ber: float | None = None
-
-
 def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
             cv_ber: float | None = None) -> KmsModel:
     """Fit one configuration on a full training set."""
     if ds.labels is None or ds.n_classes < 2:
         raise SearchError("training requires a labeled dataset with at least 2 classes")
-    fitted = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, config_digest(cfg)))
-    return KmsModel(cfg, fitted.scaler, fitted.refs, fitted.inner,
-                    list(ds.label_names), cv_ber)
+    model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, config_digest(cfg)))
+    model.cv_ber = cv_ber
+    return model
 
 
 def kms_predict(model: KmsModel, queries: Dataset) -> np.ndarray:
     """Predict label ids for a query dataset (labels, if any, are ignored)."""
-    fitted = FittedPipeline(model.scaler, model.refs, model.inner)
-    return pipeline_predict(fitted, model.config, queries.features)
+    return pipeline_predict(model, queries.features)

@@ -16,6 +16,8 @@ ENV_VAR = "KERNELCAST_THREADS"
 def thread_limit(explicit: int | None = None) -> int:
     if explicit is None:
         raw = os.environ.get(ENV_VAR, "").strip()
+        if raw and not raw.isdecimal():
+            raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
         explicit = int(raw) if raw else 1
     if explicit == 0:
         explicit = os.cpu_count() or 1

@@ -23,19 +23,6 @@ class SamplingError(ValueError):
 
 
 @dataclass
-class RegionAssignment:
-    """Maps each training row to the ordinal of the reference owning it."""
-
-    region_of: np.ndarray
-
-    def __post_init__(self):
-        self.region_of = np.asarray(self.region_of, dtype=np.int64)
-
-    def members(self, ordinal: int) -> np.ndarray:
-        return np.flatnonzero(self.region_of == ordinal)
-
-
-@dataclass
 class ReferenceSet:
     """Reference points plus their per-reference scales.
 
@@ -145,22 +132,23 @@ def lloyd(features: np.ndarray, k: int, rng: np.random.Generator,
     return centroids, assign, history
 
 
-def sample_kmeans(ds, k: int, seed: int, max_iters: int = 100) -> ReferenceSet:
+def sample_kmeans(ds, k: int, seed: int) -> ReferenceSet:
     """References are the centroids of a k-means run (euclidean only)."""
     _check_k(k, ds.n)
     rng = rand.derive(seed, rand.SAMPLER)
-    centroids, _, _ = lloyd(ds.features, k, rng, max_iters=max_iters)
+    centroids, _, _ = lloyd(ds.features, k, rng)
     sigmas = _region_sigmas(ds.features, centroids, "euclidean")
     return ReferenceSet(centroids, _repair_sigmas(sigmas), "kmeans", "euclidean", "centroids")
 
 
-def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], RegionAssignment]:
+def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], np.ndarray]:
     """Density-net sampling by batch removal.
 
     With region size l = ceil(n / k), repeatedly pick a random remaining row,
     record it as a center, and remove it together with its l-1 nearest
     remaining neighbors.  Yields ceil(n / l) centers, which can be fewer
-    than k; each removal batch is that center's region.
+    than k; each removal batch is that center's region.  Returns the centers
+    and each row's center ordinal.
     """
     _check_k(k, ds.n)
     n = ds.n
@@ -182,7 +170,7 @@ def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], RegionA
         region_of[batch] = len(centers)
         centers.append(c)
         remaining = np.setdiff1d(remaining, batch, assume_unique=True)
-    return centers, RegionAssignment(region_of)
+    return centers, region_of
 
 
 def fft_traverse(features: np.ndarray, k: int, dist: str,
@@ -242,43 +230,38 @@ def _repair_sigmas(sigmas: np.ndarray) -> np.ndarray:
     return np.where(sigmas > 0.0, sigmas, fill)
 
 
-def assign_regions(dist: str, features: np.ndarray, refs: np.ndarray) -> RegionAssignment:
-    """Voronoi assignment of rows to references (ties to the lowest index)."""
+def assign_regions(dist: str, features: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Voronoi assignment: each row's nearest reference ordinal (ties to the lowest)."""
     dists = geometry.pairwise(dist, features, refs)
-    return RegionAssignment(np.argmin(dists, axis=1))
+    return np.asarray(np.argmin(dists, axis=1), dtype=np.int64)
 
 
-def finalize_references(ds, picked: list[int], ref_type: str, dist: str, sampler: str,
-                        fft_radius: float | None = None,
-                        fft_shared_sigma: bool = False) -> ReferenceSet:
+def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
+                        sampler: str) -> ReferenceSet:
     """Turn picked row indices into a ReferenceSet with per-reference scales.
 
     With ref_type "centroids" each picked row is replaced by the centroid of
     its Voronoi region over the full training set (empty regions keep the
     original row).  sigma_c is the maximum distance from reference c to the
-    training rows whose nearest reference is c; an FFT set may instead share
-    the final traversal radius across all references.
+    training rows whose nearest reference is c.
     """
     if ref_type not in REF_TYPES:
         raise SamplingError(f"unknown reference type {ref_type!r}")
     refs = ds.features[np.asarray(picked, dtype=np.int64)].astype(np.float64).copy()
     if ref_type == "centroids":
-        assign = assign_regions(dist, ds.features, refs).region_of
+        assign = assign_regions(dist, ds.features, refs)
         converted = refs.copy()
         for j in range(refs.shape[0]):
             members = ds.features[assign == j]
             if members.shape[0]:
                 converted[j] = members.mean(axis=0)
         refs = converted
-    if fft_shared_sigma and sampler == "fft" and fft_radius is not None and fft_radius > 0.0:
-        sigmas = np.full(refs.shape[0], float(fft_radius))
-    else:
-        sigmas = _region_sigmas(ds.features, refs, dist)
+    sigmas = _region_sigmas(ds.features, refs, dist)
     return ReferenceSet(refs, _repair_sigmas(sigmas), sampler, dist, ref_type)
 
 
-def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str, seed: int,
-                       fft_shared_sigma: bool = False, max_iters: int = 100) -> ReferenceSet:
+def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
+                       seed: int) -> ReferenceSet:
     """Run one sampler end to end and return its ReferenceSet.
 
     k-means only supports euclidean distance and centroid references.
@@ -290,13 +273,11 @@ def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str, seed:
     if sampler == "kmeans":
         if dist != "euclidean" or ref_type != "centroids":
             raise SamplingError("kmeans sampling requires euclidean distance and centroid references")
-        return sample_kmeans(ds, k, seed, max_iters=max_iters)
+        return sample_kmeans(ds, k, seed)
     if sampler == "random":
         picked = sample_random(ds, k, seed)
-        return finalize_references(ds, picked, ref_type, dist, sampler)
-    if sampler == "density":
+    elif sampler == "density":
         picked, _ = sample_density(ds, k, dist, seed)
-        return finalize_references(ds, picked, ref_type, dist, sampler)
-    picked, radius = sample_fft(ds, k, dist, seed)
-    return finalize_references(ds, picked, ref_type, dist, sampler,
-                               fft_radius=radius, fft_shared_sigma=fft_shared_sigma)
+    else:
+        picked, _ = sample_fft(ds, k, dist, seed)
+    return finalize_references(ds, picked, ref_type, dist, sampler)

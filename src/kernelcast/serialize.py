@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -216,8 +217,16 @@ def from_json(text: str):
 
 
 def save(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(obj))
+    """Write a document atomically: a failed save leaves any previous file intact."""
+    text = to_json(obj)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load(path):

@@ -61,6 +61,28 @@ def test_search_grid_mode_with_sampler_filter(tmp_path):
     assert all(e["config"]["sampler"] == "kmeans" for e in doc["evaluated"])
 
 
+def test_search_without_viable_configuration_exits_nonzero(tmp_path, capsys):
+    # 2 training rows per fold: every configuration needs at least 4 references
+    ds = make_blobs(n_per_class=2, spread=0.5, seed=4)
+    write_labeled_csv(tmp_path / "d.csv", ds)
+    out = tmp_path / "r.json"
+    assert main(["search", "--data", str(tmp_path / "d.csv"), "--folds", "2",
+                 "--budget", "5", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert len(doc["evaluated"]) == 5
+    assert all(e["cv_ber"] is None and e["error"] for e in doc["evaluated"])
+    assert "error: search produced no viable configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_threads_env_var_rejects_bad_values(workdir, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("KERNELCAST_THREADS", value)
+    assert main(["search", "--data", str(workdir / "train.csv"), "--budget", "2",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert f"KERNELCAST_THREADS must be a non-negative integer, got {value!r}" \
+        in capsys.readouterr().err
+
+
 def test_threads_env_var_does_not_change_report(workdir, tmp_path, monkeypatch):
     monkeypatch.setenv("KERNELCAST_THREADS", "4")
     out = tmp_path / "parallel.json"

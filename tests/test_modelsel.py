@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelcast import rand
+from kernelcast import modelsel, rand
 from kernelcast.data import Dataset, make_folds
 from kernelcast.modelsel import (Configuration, SearchError,
                                  balanced_error_rate, config_digest,
@@ -225,6 +225,16 @@ def test_failed_configs_get_infinite_score_and_never_win():
     assert np.isfinite(report.best.cv_ber)
 
 
+def test_programming_errors_propagate_out_of_search(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("simulated bug")
+
+    monkeypatch.setattr(modelsel, "map_dataset", broken)
+    ds = make_blobs(n_per_class=15, spread=0.3, seed=7)
+    with pytest.raises(TypeError, match="simulated bug"):
+        random_search(ds, sample_size=4, seed=0)
+
+
 def test_grid_search_never_worse_than_random_subsample():
     ds = make_blobs(n_per_class=20, spread=1.5, seed=8)
     full = grid_search(ds, fold_count=3, seed=1, sampler_filter="kmeans")
@@ -256,8 +266,7 @@ def test_fit_pipeline_ignores_rows_outside_subset():
                       base.label_names)
     b = fit_pipeline(cfg, swapped.subset(train_ids), seed=11)
     queries = rng.normal(size=(10, 3))
-    assert np.array_equal(pipeline_predict(a, cfg, queries),
-                          pipeline_predict(b, cfg, queries))
+    assert np.array_equal(pipeline_predict(a, queries), pipeline_predict(b, queries))
 
 
 def test_evaluate_config_mean_over_folds():

@@ -111,7 +111,7 @@ def test_density_even_partition():
     ds = flat(np.random.default_rng(6).normal(size=(9, 2)))
     centers, regions = sample_density(ds, 3, "euclidean", seed=1)
     assert len(centers) == 3
-    sizes = np.bincount(regions.region_of)
+    sizes = np.bincount(regions)
     assert sizes.tolist() == [3, 3, 3]
 
 
@@ -120,14 +120,14 @@ def test_density_remainder_partition():
     ds = flat(np.random.default_rng(7).normal(size=(10, 2)))
     centers, regions = sample_density(ds, 3, "euclidean", seed=2)
     assert len(centers) == 3
-    assert sorted(np.bincount(regions.region_of).tolist()) == [2, 4, 4]
+    assert sorted(np.bincount(regions).tolist()) == [2, 4, 4]
 
 
 def test_density_k_equals_n_every_point_its_own_center():
     ds = flat(np.random.default_rng(8).normal(size=(6, 2)))
     centers, regions = sample_density(ds, 6, "euclidean", seed=3)
     assert sorted(centers) == list(range(6))
-    assert np.bincount(regions.region_of).tolist() == [1] * 6
+    assert np.bincount(regions).tolist() == [1] * 6
 
 
 @pytest.mark.parametrize("dist", ["euclidean", "angle"])
@@ -139,13 +139,13 @@ def test_density_partition_invariants(dist):
         ds = flat(rng.normal(size=(n, 3)) + 1.0)
         centers, regions = sample_density(ds, k, dist, seed=trial)
         size_cap = math.ceil(n / k)
-        sizes = np.bincount(regions.region_of, minlength=len(centers))
+        sizes = np.bincount(regions, minlength=len(centers))
         assert sizes.sum() == n
         assert sizes.max() <= size_cap
         assert len(centers) == math.ceil(n / size_cap)
         # every center belongs to its own region
         for ordinal, center in enumerate(centers):
-            assert regions.region_of[center] == ordinal
+            assert regions[center] == ordinal
 
 
 def test_density_deterministic():
@@ -153,7 +153,7 @@ def test_density_deterministic():
     a = sample_density(ds, 4, "euclidean", seed=7)
     b = sample_density(ds, 4, "euclidean", seed=7)
     assert a[0] == b[0]
-    assert np.array_equal(a[1].region_of, b[1].region_of)
+    assert np.array_equal(a[1], b[1])
 
 
 # ---------------------------------------------------------------- fft
@@ -243,17 +243,7 @@ def test_region_assignment_matches_per_row_recompute():
     regions = assign_regions("euclidean", ds.features, refs.refs)
     for i, row in enumerate(ds.features):
         expected, _ = geometry.nearest_reference("euclidean", row, refs.refs)
-        assert regions.region_of[i] == expected
-
-
-def test_fft_shared_sigma_option():
-    rng = np.random.default_rng(16)
-    ds = flat(rng.normal(size=(20, 2)))
-    shared = make_reference_set(ds, "fft", 5, "euclidean", "centers", seed=1,
-                                fft_shared_sigma=True)
-    assert np.all(shared.sigmas == shared.sigmas[0])
-    per_region = make_reference_set(ds, "fft", 5, "euclidean", "centers", seed=1)
-    assert not np.all(per_region.sigmas == per_region.sigmas[0])
+        assert regions[i] == expected
 
 
 @pytest.mark.parametrize("sampler", ["random", "density", "fft", "kmeans"])

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def test_save_load_file_identity(trained, tmp_path):
     save(report, path)
     clone = load(path)
     assert to_json(clone) == to_json(report)
+
+
+def test_failed_save_keeps_previous_file(trained, tmp_path, monkeypatch):
+    _, report, ens = trained
+    path = tmp_path / "report.json"
+    save(report, path)
+    before = path.read_bytes()
+    with pytest.raises(FormatError):
+        save(object(), path)
+
+    def interrupted(src, dst):
+        raise OSError("simulated failure before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="simulated"):
+        save(ens, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_json_is_stable_text(trained):
