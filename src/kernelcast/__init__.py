@@ -13,7 +13,7 @@ from .data import (Dataset, FoldPlan, ScalerSpec, apply_scaler, fit_scaler,
 from .ensemble import (ConsensusCurve, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
 from .geometry import centroid, distance, nearest_reference, pairwise
-from .kernelmap import MappedDataset, kernel_value, map_dataset
+from .kernelmap import kernel_value, map_dataset
 from .modelsel import (Configuration, KmsModel, SearchReport,
                        balanced_error_rate, enumerate_grid, evaluate_config,
                        grid_search, kms_fit, kms_predict, random_search)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "FoldPlan",
-    "KmsModel", "KnnParams", "MappedDataset", "ReferenceSet",
+    "KmsModel", "KnnParams", "ReferenceSet",
     "ScalerSpec", "SearchReport", "apply_scaler",
     "balanced_error_rate", "build_ensemble", "centroid", "consensus_curve",
     "distance", "ensemble_predict", "enumerate_grid", "evaluate_config",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .kernelmap import MappedDataset
+from .data import Dataset
 
 KNN_WEIGHTINGS = ("uniform", "distance")
 
@@ -70,34 +70,29 @@ class GnbModel:
     n_classes: int
 
 
-def _require_labeled(mds: MappedDataset) -> np.ndarray:
-    if mds.labels is None:
+def _require_labeled(ds: Dataset) -> np.ndarray:
+    if ds.labels is None:
         raise ClassifierError("training data must be labeled")
-    if mds.n < 1:
+    if ds.n < 1:
         raise ClassifierError("training data must not be empty")
-    return mds.labels
+    return ds.labels
 
 
-def knn_fit(mds: MappedDataset, params: KnnParams, n_classes: int | None = None) -> KnnModel:
+def knn_fit(ds: Dataset, params: KnnParams, n_classes: int | None = None) -> KnnModel:
     """Store the mapped training matrix; kNN does all work at predict time."""
-    labels = _require_labeled(mds)
+    labels = _require_labeled(ds)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    return KnnModel(mds.features.copy(), labels.copy(), params, int(n_classes))
+    return KnnModel(ds.features.copy(), labels.copy(), params, int(n_classes))
 
 
-def _query_features(queries) -> np.ndarray:
-    feats = queries.features if isinstance(queries, MappedDataset) else queries
-    return np.asarray(feats, dtype=np.float64)
-
-
-def knn_predict(model: KnnModel, queries) -> np.ndarray:
+def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Predict label ids for mapped query rows.
 
     Neighbor rank ties break toward the lower training-row index; vote ties
     break toward the lower label id.
     """
-    feats = _query_features(queries)
+    feats = np.asarray(queries, dtype=np.float64)
     dists = geometry.pairwise(model.params.distance, feats, model.features)
     k = min(model.params.neighbors, model.features.shape[0])
     order = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -112,17 +107,17 @@ def knn_predict(model: KnnModel, queries) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def gnb_fit(mds: MappedDataset, n_classes: int | None = None) -> GnbModel:
+def gnb_fit(ds: Dataset, n_classes: int | None = None) -> GnbModel:
     """Fit per-class priors and per-feature Gaussian moments.
 
     Variances are floored at 1e-9 times the mean feature variance of the full
     training matrix so constant mapped columns cannot produce singular
     likelihoods.
     """
-    labels = _require_labeled(mds)
+    labels = _require_labeled(ds)
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    feats = mds.features
+    feats = ds.features
     base = float(feats.var(axis=0).mean())
     floor = _VAR_FLOOR_FACTOR * base if base > 0.0 else _VAR_FLOOR_FACTOR
     class_ids = np.unique(labels)
@@ -137,12 +132,12 @@ def gnb_fit(mds: MappedDataset, n_classes: int | None = None) -> GnbModel:
     return GnbModel(class_ids, priors, means, variances, int(n_classes))
 
 
-def gnb_predict(model: GnbModel, queries) -> np.ndarray:
+def gnb_predict(model: GnbModel, queries: np.ndarray) -> np.ndarray:
     """Argmax of log prior plus summed per-feature Gaussian log densities.
 
     Ties break toward the lowest label id (class_ids is ascending).
     """
-    feats = _query_features(queries)
+    feats = np.asarray(queries, dtype=np.float64)
     if feats.shape[1] != model.means.shape[1]:
         raise ClassifierError("query width does not match the fitted model")
     scores = np.empty((feats.shape[0], model.class_ids.size))

@@ -16,17 +16,22 @@ import sys
 import numpy as np
 
 from . import rand, serialize
-from .data import Dataset, load_csv, load_feature_csv
+from .data import SCALER_KINDS, Dataset, load_csv, load_feature_csv
 from .ensemble import (DEFAULT_ENSEMBLE_SIZE, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
 from .kernelmap import map_matrix
 from .modelsel import (DEFAULT_FOLD_COUNT, DEFAULT_SAMPLE_SIZE, Configuration,
                        KmsModel, balanced_error_rate, grid_search, kms_fit,
                        kms_predict, random_search)
+from .sampling import SAMPLER_KINDS
 
 BENCHMARK_METHODS = ("kms-rs", "kms-gs", "kms-random", "kms-density", "kms-fft", "kms-kmeans",
                      "kmse-rs", "kmse-gs", "kmse-random", "kmse-density", "kmse-fft",
                      "kmse-kmeans")
+
+# Benchmark method variant -> (search mode, sampler filter); any other variant
+# names a sampler searched at random.
+_SEARCH_VARIANTS = {"rs": ("random", None), "gs": ("grid", None)}
 
 
 class CliError(ValueError):
@@ -66,6 +71,20 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _fit_report(report, ds: Dataset, ell: int | None, seed: int):
+    """Fit a report's best single model (``ell`` None) or its ell-member ensemble."""
+    if ell is None:
+        best = report.best
+        return kms_fit(best.config, ds, seed, cv_ber=best.cv_ber)
+    return build_ensemble(report, ds, ell=ell, seed=seed)
+
+
+def _predict(model: KmsModel | Ensemble, queries: Dataset) -> np.ndarray:
+    if isinstance(model, Ensemble):
+        return ensemble_predict(model, queries)
+    return kms_predict(model, queries)
+
+
 def cmd_train(args) -> int:
     ds = _load_training(args)
     if (args.report is None) == (args.config is None):
@@ -83,15 +102,13 @@ def cmd_train(args) -> int:
     if tuple(report.data_shape) != (ds.n, ds.dim, ds.n_classes):
         print(f"warning: training data shape {(ds.n, ds.dim, ds.n_classes)} differs "
               f"from the searched data shape {tuple(report.data_shape)}", file=sys.stderr)
-    if args.ensemble_size:
-        model = build_ensemble(report, ds, ell=args.ensemble_size, seed=args.seed)
-        serialize.save(model, args.out)
-        print(f"trained {args.ensemble_size}-member ensemble -> {args.out}")
+    ell = args.ensemble_size or None
+    model = _fit_report(report, ds, ell, args.seed)
+    serialize.save(model, args.out)
+    if ell is None:
+        print(f"trained best single model (cv_ber {model.cv_ber:.6f}) -> {args.out}")
     else:
-        best = report.best
-        model = kms_fit(best.config, ds, args.seed, cv_ber=best.cv_ber)
-        serialize.save(model, args.out)
-        print(f"trained best single model (cv_ber {best.cv_ber:.6f}) -> {args.out}")
+        print(f"trained {ell}-member ensemble -> {args.out}")
     return 0
 
 
@@ -99,31 +116,25 @@ def cmd_predict(args) -> int:
     model = serialize.load(args.model)
     if not isinstance(model, (KmsModel, Ensemble)):
         raise CliError("--model must point to a model or ensemble document")
+    if args.dump_mapped is not None and not isinstance(model, KmsModel):
+        raise CliError("--dump-mapped works only with single models")
     names = model.label_names
-    truth = None
     if args.truth_col is not None:
-        ds = load_csv(args.data, label_column=args.truth_col,
-                      has_header=args.has_header, vocabulary=names)
-        queries = Dataset(ds.features, None, names)
-        truth = ds.labels
+        queries = load_csv(args.data, label_column=args.truth_col,
+                           has_header=args.has_header, vocabulary=names)
     else:
         queries = Dataset(load_feature_csv(args.data, has_header=args.has_header), None, names)
-    if isinstance(model, Ensemble):
-        predicted = ensemble_predict(model, queries)
-    else:
-        predicted = kms_predict(model, queries)
+    predicted = _predict(model, queries)
     with open(args.out, "w", encoding="utf-8") as fh:
         for label_id in predicted:
             fh.write(names[int(label_id)] + "\n")
     if args.dump_mapped is not None:
-        if not isinstance(model, KmsModel):
-            raise CliError("--dump-mapped works only with single models")
         mapped = map_matrix(model.scaler.transform(queries.features), model.refs,
                             model.config.kernel)
         np.savetxt(args.dump_mapped, mapped, delimiter=",")
     print(f"wrote {len(predicted)} predictions -> {args.out}")
-    if truth is not None:
-        ber = balanced_error_rate(truth, predicted, len(names))
+    if queries.labels is not None:
+        ber = balanced_error_rate(queries.labels, predicted, len(names))
         print(f"BER: {ber:.6f}")
     return 0
 
@@ -150,29 +161,14 @@ def _parse_method(name: str) -> tuple[bool, str, str | None]:
     if name not in BENCHMARK_METHODS:
         raise CliError(f"unknown method {name!r}; expected one of {', '.join(BENCHMARK_METHODS)}")
     family, variant = name.split("-", 1)
-    if variant == "rs":
-        mode, flt = "random", None
-    elif variant == "gs":
-        mode, flt = "grid", None
-    else:
-        mode, flt = "random", variant
+    mode, flt = _SEARCH_VARIANTS.get(variant, ("random", variant))
     return family == "kmse", mode, flt
 
 
 def rank_with_mid_ties(values: list[float]) -> list[float]:
     """Ascending ranks starting at 1; tied values share the mid rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = mid
-        i = j + 1
-    return ranks
+    return [sum(v < x for v in values) + (sum(v == x for v in values) + 1) / 2
+            for x in values]
 
 
 def _cell_seed(master: int, name: str, split: int, mode: str, flt: str | None) -> int:
@@ -225,13 +221,8 @@ def cmd_benchmark(args) -> int:
                         train, mode, flt, args.budget, args.folds, seed, args.scaler))
             for method, (is_ens, mode, flt) in parsed.items():
                 seed, report = searches[(mode, flt)]
-                if is_ens:
-                    model = build_ensemble(report, train, ell=args.ensemble_size, seed=seed)
-                    predicted = ensemble_predict(model, test)
-                else:
-                    best = report.best
-                    single = kms_fit(best.config, train, seed, cv_ber=best.cv_ber)
-                    predicted = kms_predict(single, test)
+                model = _fit_report(report, train, args.ensemble_size if is_ens else None, seed)
+                predicted = _predict(model, test)
                 per_method[method]["ber"].append(
                     balanced_error_rate(test.labels, predicted, train.n_classes))
                 per_method[method]["ber_fn_only"].append(
@@ -293,10 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_SAMPLE_SIZE,
                    help="configurations sampled in random mode")
     p.add_argument("--mode", choices=("random", "grid"), default="random")
-    p.add_argument("--sampler", choices=("any", "random", "kmeans", "density", "fft"),
+    p.add_argument("--sampler", choices=("any", *SAMPLER_KINDS),
                    default="any", help="restrict the grid to one sampler")
-    p.add_argument("--scaler", choices=("none", "standardize", "minmax", "maxabs"),
-                   default="none")
+    p.add_argument("--scaler", choices=SCALER_KINDS, default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="search report JSON path")
     p.set_defaults(func=cmd_search)
@@ -342,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_SAMPLE_SIZE)
     p.add_argument("--folds", type=int, default=DEFAULT_FOLD_COUNT)
     p.add_argument("--ensemble-size", type=int, default=DEFAULT_ENSEMBLE_SIZE)
-    p.add_argument("--scaler", choices=("none", "standardize", "minmax", "maxabs"),
-                   default="none")
+    p.add_argument("--scaler", choices=SCALER_KINDS, default="none")
     p.add_argument("--max-splits", type=int, default=None,
                    help="cap the splits used per dataset")
     p.add_argument("--seed", type=int, default=0)

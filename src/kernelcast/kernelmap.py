@@ -7,11 +7,10 @@ space has one dimension per reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry
+from .data import Dataset
 from .sampling import ReferenceSet
 
 KERNEL_KINDS = ("linear", "gaussian", "sigmoid", "cauchy")
@@ -22,27 +21,6 @@ _EXP_CLAMP = 700.0
 
 class KernelError(ValueError):
     """Invalid kernel parameters."""
-
-
-@dataclass
-class MappedDataset:
-    """Kernel-space feature matrix with the original labels carried over."""
-
-    features: np.ndarray
-    labels: np.ndarray | None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise KernelError("mapped features must be a 2-d matrix")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 def kernel_matrix(kind: str, dists: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -86,6 +64,6 @@ def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str) -> np.ndar
     return kernel_matrix(kernel, dists, refs.sigmas)
 
 
-def map_dataset(ds, refs: ReferenceSet, kernel: str) -> MappedDataset:
-    """Map a Dataset into kernel space, carrying labels through unchanged."""
-    return MappedDataset(map_matrix(ds.features, refs, kernel), ds.labels)
+def map_dataset(ds: Dataset, refs: ReferenceSet, kernel: str) -> Dataset:
+    """Map a Dataset into kernel space, carrying labels and label names through."""
+    return Dataset(map_matrix(ds.features, refs, kernel), ds.labels, ds.label_names)

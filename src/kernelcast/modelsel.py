@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,23 +73,7 @@ class Configuration:
             raise SearchError("knn parameters are required exactly when the classifier is knn")
 
     def to_dict(self) -> dict:
-        doc = {
-            "k_references": self.k_references,
-            "sampling_distance": self.sampling_distance,
-            "sampler": self.sampler,
-            "kernel": self.kernel,
-            "ref_type": self.ref_type,
-            "classifier": self.classifier,
-            "scaler": self.scaler,
-            "knn": None,
-        }
-        if self.knn is not None:
-            doc["knn"] = {
-                "neighbors": self.knn.neighbors,
-                "weighting": self.knn.weighting,
-                "distance": self.knn.distance,
-            }
-        return doc
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "Configuration":

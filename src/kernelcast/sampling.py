@@ -17,6 +17,9 @@ from . import geometry, rand
 SAMPLER_KINDS = ("density", "fft", "kmeans", "random")
 REF_TYPES = ("centers", "centroids")
 
+# Lloyd iterations stop at a fixpoint or after this many assignment steps.
+_LLOYD_MAX_ITERS = 100
+
 
 class SamplingError(ValueError):
     """Invalid sampler parameters for the given dataset."""
@@ -94,21 +97,21 @@ def _kmeanspp_seed(features: np.ndarray, k: int, rng: np.random.Generator) -> np
     return features[chosen].astype(np.float64).copy()
 
 
-def lloyd(features: np.ndarray, k: int, rng: np.random.Generator,
-          max_iters: int = 100) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def lloyd(features: np.ndarray, k: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """k-means++ seeding followed by Lloyd iterations to a fixpoint.
 
     Returns (centroids, assignments, inertia_history) where the history holds
     the sum of squared distances to the assigned centroid after every
     assignment step.  Stops when assignments stop changing or after
-    ``max_iters`` iterations.  An empty cluster is reseeded at the point
+    ``_LLOYD_MAX_ITERS`` iterations.  An empty cluster is reseeded at the point
     farthest from its current (stale) centroid.
     """
     features = np.asarray(features, dtype=np.float64)
     centroids = _kmeanspp_seed(features, k, rng)
     prev = None
     history: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(_LLOYD_MAX_ITERS):
         dists = geometry.pairwise("euclidean", features, centroids)
         assign = np.argmin(dists, axis=1)
         history.append(float(np.square(dists[np.arange(len(features)), assign]).sum()))

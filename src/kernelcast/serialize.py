@@ -122,14 +122,39 @@ def kms_to_doc(model: KmsModel) -> dict:
     }
 
 
+def _check_model(model: KmsModel) -> None:
+    """Cross-field checks, so a malformed model fails on load, not when predicting."""
+    n_refs, width = model.refs.refs.shape
+    n_classes = len(model.label_names)
+    inner = model.inner
+    if inner.n_classes != n_classes:
+        raise FormatError(f"inner.n_classes {inner.n_classes} does not match "
+                          f"the {n_classes} label_names")
+    spec = model.scaler
+    if {spec.offset.shape, spec.scale.shape, spec.active.shape} != {(width,)}:
+        raise FormatError(f"scaler width does not match the reference width {width}")
+    if isinstance(inner, KnnModel):
+        matrix, matrix_field, ids, ids_field = inner.features, "features", inner.labels, "labels"
+    else:
+        matrix, matrix_field, ids, ids_field = inner.means, "means", inner.class_ids, "class_ids"
+    if matrix.ndim != 2 or matrix.shape[1] != n_refs:
+        raise FormatError(f"inner.{matrix_field} width does not match the {n_refs} references")
+    if ids.shape != matrix.shape[:1]:
+        raise FormatError(f"inner.{ids_field} count does not match the inner.{matrix_field} rows")
+    if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
+        raise FormatError(f"inner.{ids_field} outside [0, {n_classes})")
+
+
 def kms_from_doc(doc: dict) -> KmsModel:
     cv = doc.get("cv_ber")
-    return KmsModel(Configuration.from_dict(doc["config"]),
-                    scaler_from_doc(doc["scaler"]),
-                    refs_from_doc(doc["references"]),
-                    _inner_from_doc(doc["inner"]),
-                    list(doc["label_names"]),
-                    None if cv is None else float(cv))
+    model = KmsModel(Configuration.from_dict(doc["config"]),
+                     scaler_from_doc(doc["scaler"]),
+                     refs_from_doc(doc["references"]),
+                     _inner_from_doc(doc["inner"]),
+                     list(doc["label_names"]),
+                     None if cv is None else float(cv))
+    _check_model(model)
+    return model
 
 
 def ensemble_to_doc(ens: Ensemble) -> dict:
@@ -142,7 +167,10 @@ def ensemble_to_doc(ens: Ensemble) -> dict:
 
 
 def ensemble_from_doc(doc: dict) -> Ensemble:
-    return Ensemble([kms_from_doc(m) for m in doc["members"]], int(doc["vote_seed"]))
+    members = [kms_from_doc(m) for m in doc["members"]]
+    if any(m.label_names != members[0].label_names for m in members):
+        raise FormatError("ensemble members have different label_names")
+    return Ensemble(members, int(doc["vote_seed"]))
 
 
 def report_to_doc(report: SearchReport) -> dict:
@@ -204,7 +232,10 @@ def to_json(obj) -> str:
 
 
 def from_json(text: str):
-    """Parse any document written by to_json, dispatching on its kind."""
+    """Parse any document written by to_json, dispatching on its kind.
+
+    A missing field or a model whose fields disagree raises FormatError.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("document is missing its kind")
@@ -213,7 +244,10 @@ def from_json(text: str):
     reader = _READERS.get(doc["kind"])
     if reader is None:
         raise FormatError(f"unknown document kind {doc['kind']!r}")
-    return reader(doc)
+    try:
+        return reader(doc)
+    except KeyError as exc:
+        raise FormatError(f"{doc['kind']} document is missing field {exc.args[0]!r}") from None
 
 
 def save(obj, path) -> None:

@@ -19,11 +19,10 @@ import pytest
 
 from kernelcast import rand
 from kernelcast.classify import gnb_fit, gnb_predict, knn_fit, knn_predict
-from kernelcast.data import load_csv
+from kernelcast.data import Dataset, load_csv
 from kernelcast.ensemble import (Ensemble, build_ensemble, discordance_ratio,
                                  ensemble_predict)
 from kernelcast.geometry import pairwise
-from kernelcast.kernelmap import MappedDataset
 from kernelcast.modelsel import (KnnParams, balanced_error_rate,
                                  config_digest, enumerate_grid, grid_search,
                                  kms_fit, kms_predict, random_search)
@@ -148,7 +147,8 @@ def test_criterion_5_classifier_oracles(announce):
         labels = rng.integers(0, n_classes, size=n)
         labels[:n_classes] = np.arange(n_classes)
         feats = rng.normal(size=(n, 3))
-        model = gnb_fit(MappedDataset(feats, labels), n_classes=n_classes)
+        model = gnb_fit(Dataset(feats, labels, [str(c) for c in range(n_classes)]),
+                        n_classes=n_classes)
         queries = rng.normal(size=(5, 3))
         got = gnb_predict(model, queries)
         agree = True
@@ -163,7 +163,7 @@ def test_criterion_5_classifier_oracles(announce):
     knn_perfect = True
     for trial in range(50):
         ds = random_dataset(rng, int(rng.integers(5, 40)), 2)
-        model = knn_fit(MappedDataset(ds.features, ds.labels),
+        model = knn_fit(Dataset(ds.features, ds.labels, ds.label_names),
                         KnnParams(1, "uniform", "euclidean"))
         knn_perfect = knn_perfect and np.array_equal(
             knn_predict(model, ds.features), ds.labels)

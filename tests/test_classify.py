@@ -5,12 +5,13 @@ import pytest
 
 from kernelcast.classify import (ClassifierError, GnbModel, KnnParams,
                                  gnb_fit, gnb_predict, knn_fit, knn_predict)
-from kernelcast.kernelmap import MappedDataset
+from kernelcast.data import Dataset
 
 
 def mapped(features, labels):
-    return MappedDataset(np.asarray(features, dtype=float),
-                         np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
+    return Dataset(np.asarray(features, dtype=float), labels,
+                   [f"c{i}" for i in range(labels.max() + 1)])
 
 
 def params(k=1, weighting="uniform", distance="euclidean"):
@@ -98,7 +99,7 @@ def test_knn_rejects_bad_params():
 
 def test_knn_rejects_unlabeled_training_data():
     with pytest.raises(ClassifierError):
-        knn_fit(MappedDataset(np.ones((3, 1)), None), params(1))
+        knn_fit(Dataset(np.ones((3, 1)), None, []), params(1))
 
 
 # ------------------------------------------------------------------ gnb
@@ -185,4 +186,4 @@ def test_gnb_single_class_always_predicts_it():
 
 def test_gnb_rejects_unlabeled_training_data():
     with pytest.raises(ClassifierError):
-        gnb_fit(MappedDataset(np.ones((3, 1)), None))
+        gnb_fit(Dataset(np.ones((3, 1)), None, []))

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcast.cli import main, rank_with_mid_ties
+from kernelcast.cli import (BENCHMARK_METHODS, _parse_method, main,
+                           rank_with_mid_ties)
 from synthdata import make_blobs, write_labeled_csv
 
 
@@ -159,6 +160,19 @@ def test_predict_dump_mapped_matrix(workdir, tmp_path):
     assert np.all((mapped >= 0) & (mapped <= 1))
 
 
+def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, capsys):
+    model = tmp_path / "ens.json"
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--report", str(workdir / "report.json"),
+                 "--ensemble-size", "2", "--out", str(model)]) == 0
+    out, mapped = tmp_path / "pred.csv", tmp_path / "mapped.csv"
+    assert main(["predict", "--model", str(model),
+                 "--data", str(workdir / "holdout.csv"), "--truth-col", "-1",
+                 "--dump-mapped", str(mapped), "--out", str(out)]) == 1
+    assert "--dump-mapped works only with single models" in capsys.readouterr().err
+    assert not out.exists() and not mapped.exists()
+
+
 def test_train_shape_mismatch_warns(workdir, tmp_path, capsys):
     assert main(["train", "--data", str(workdir / "holdout.csv"),
                  "--report", str(workdir / "report.json"),
@@ -244,10 +258,38 @@ def test_benchmark_rejects_unknown_method(workdir, tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_empty_ensemble(workdir, tmp_path, capsys):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"datasets": [{"name": "blobs", "splits": [
+        {"train": str(workdir / "train.csv"), "test": str(workdir / "holdout.csv")}]}]}))
+    out = tmp_path / "b.json"
+    assert main(["benchmark", "--manifest", str(mpath), "--methods", "kmse-rs",
+                 "--budget", "4", "--ensemble-size", "0", "--out", str(out)]) == 1
+    assert "ensemble size must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PARSED_METHODS = {
+    "kms-rs": (False, "random", None), "kmse-rs": (True, "random", None),
+    "kms-gs": (False, "grid", None), "kmse-gs": (True, "grid", None),
+    "kms-random": (False, "random", "random"), "kmse-random": (True, "random", "random"),
+    "kms-density": (False, "random", "density"), "kmse-density": (True, "random", "density"),
+    "kms-fft": (False, "random", "fft"), "kmse-fft": (True, "random", "fft"),
+    "kms-kmeans": (False, "random", "kmeans"), "kmse-kmeans": (True, "random", "kmeans"),
+}
+
+
+@pytest.mark.parametrize("method", BENCHMARK_METHODS)
+def test_parse_method(method):
+    assert _parse_method(method) == PARSED_METHODS[method]
+
+
 def test_rank_mid_tie_values():
     assert rank_with_mid_ties([0.3, 0.1, 0.2]) == [3.0, 1.0, 2.0]
     assert rank_with_mid_ties([0.5, 0.5]) == [1.5, 1.5]
     assert rank_with_mid_ties([0.2, 0.1, 0.2, 0.2]) == [3.0, 1.0, 3.0, 3.0]
+    assert rank_with_mid_ties([0.2, 0.2, 0.1, 0.3, 0.3, 0.3]) == [2.5, 2.5, 1.0, 5.0, 5.0, 5.0]
+    assert rank_with_mid_ties([0.4] * 4) == [2.5] * 4
 
 
 def test_help_exits_zero():

@@ -65,6 +65,7 @@ def test_map_dataset_keeps_labels():
     refs = refs_of([[0.0]], [1.0])
     mds = map_dataset(ds, refs, "gaussian")
     assert np.array_equal(mds.labels, ds.labels)
+    assert mds.label_names == ds.label_names
     assert mds.features.shape == (3, 1)
 
 

@@ -58,7 +58,7 @@ def test_random_rejects_bad_k():
 def test_kmeans_k1_centroid_is_mean():
     rng = np.random.default_rng(1)
     feats = rng.normal(size=(40, 3))
-    centroids, _, history = lloyd(feats, 1, rand.derive(1), max_iters=100)
+    centroids, _, history = lloyd(feats, 1, rand.derive(1))
     assert np.allclose(centroids[0], feats.mean(axis=0), atol=1e-9)
     assert len(history) >= 1
 

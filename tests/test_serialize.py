@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from kernelcast.classify import KnnParams
 from kernelcast.data import Dataset
 from kernelcast.ensemble import Ensemble, build_ensemble, ensemble_predict
-from kernelcast.modelsel import random_search
+from kernelcast.modelsel import Configuration, kms_fit, random_search
 from kernelcast.serialize import (FormatError, from_json, load, save,
                                   to_json)
 from synthdata import make_blobs
@@ -86,3 +87,81 @@ def test_rejects_future_version():
 def test_rejects_unsupported_object():
     with pytest.raises(FormatError):
         to_json({"plain": "dict"})
+
+
+def model_doc(ds, classifier):
+    knn = KnnParams(3, "uniform", "euclidean") if classifier == "knn" else None
+    cfg = Configuration(4, "euclidean", "random", "gaussian", "centers", classifier, knn)
+    return json.loads(to_json(kms_fit(cfg, ds, 0)))
+
+
+@pytest.mark.parametrize("classifier", ["knn", "gnb"])
+def test_model_roundtrip_is_identity(trained, classifier):
+    text = json.dumps(model_doc(trained[0], classifier), sort_keys=True, indent=2) + "\n"
+    assert to_json(from_json(text)) == text
+
+
+def drop_sigmas(doc):
+    del doc["references"]["sigmas"]
+
+
+def set_n_classes(doc):
+    doc["inner"]["n_classes"] = 7
+
+
+def widen_scaler(doc):
+    doc["scaler"]["offset"].append(0.0)
+
+
+def narrow_features(doc):
+    doc["inner"]["features"] = [row[:-1] for row in doc["inner"]["features"]]
+
+
+def narrow_means(doc):
+    doc["inner"]["means"] = [row[:-1] for row in doc["inner"]["means"]]
+
+
+def drop_label(doc):
+    doc["inner"]["labels"].pop()
+
+
+def drop_class_id(doc):
+    doc["inner"]["class_ids"].pop()
+
+
+def label_out_of_range(doc):
+    doc["inner"]["labels"][0] = 2
+
+
+def class_id_out_of_range(doc):
+    doc["inner"]["class_ids"][-1] = -1
+
+
+BAD_MODELS = [
+    ("knn", drop_sigmas, "kms_model document is missing field 'sigmas'"),
+    ("knn", set_n_classes, "inner.n_classes 7 does not match the 2 label_names"),
+    ("gnb", set_n_classes, "inner.n_classes 7 does not match the 2 label_names"),
+    ("gnb", widen_scaler, "scaler width does not match the reference width 2"),
+    ("knn", narrow_features, "inner.features width does not match the 4 references"),
+    ("gnb", narrow_means, "inner.means width does not match the 4 references"),
+    ("knn", drop_label, "inner.labels count does not match the inner.features rows"),
+    ("gnb", drop_class_id, "inner.class_ids count does not match the inner.means rows"),
+    ("knn", label_out_of_range, r"inner.labels outside \[0, 2\)"),
+    ("gnb", class_id_out_of_range, r"inner.class_ids outside \[0, 2\)"),
+]
+
+
+@pytest.mark.parametrize("classifier,edit,message", BAD_MODELS,
+                         ids=[f"{c}-{edit.__name__}" for c, edit, _ in BAD_MODELS])
+def test_rejects_inconsistent_model_on_load(trained, classifier, edit, message):
+    doc = model_doc(trained[0], classifier)
+    edit(doc)
+    with pytest.raises(FormatError, match=message):
+        from_json(json.dumps(doc))
+
+
+def test_rejects_ensemble_members_with_different_label_names(trained):
+    doc = json.loads(to_json(trained[2]))
+    doc["members"][1]["label_names"] = ["c1", "c0"]
+    with pytest.raises(FormatError, match="different label_names"):
+        from_json(json.dumps(doc))
