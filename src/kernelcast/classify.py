@@ -70,20 +70,15 @@ class GnbModel:
     n_classes: int
 
 
-def _require_labeled(ds: Dataset) -> np.ndarray:
-    if ds.labels is None:
-        raise ClassifierError("training data must be labeled")
+def _require_nonempty(ds: Dataset) -> None:
     if ds.n < 1:
         raise ClassifierError("training data must not be empty")
-    return ds.labels
 
 
-def knn_fit(ds: Dataset, params: KnnParams, n_classes: int | None = None) -> KnnModel:
+def knn_fit(ds: Dataset, params: KnnParams) -> KnnModel:
     """Store the mapped training matrix; kNN does all work at predict time."""
-    labels = _require_labeled(ds)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    return KnnModel(ds.features.copy(), labels.copy(), params, int(n_classes))
+    _require_nonempty(ds)
+    return KnnModel(ds.features.copy(), ds.labels.copy(), params, ds.n_classes)
 
 
 def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
@@ -107,17 +102,15 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def gnb_fit(ds: Dataset, n_classes: int | None = None) -> GnbModel:
+def gnb_fit(ds: Dataset) -> GnbModel:
     """Fit per-class priors and per-feature Gaussian moments.
 
     Variances are floored at 1e-9 times the mean feature variance of the full
     training matrix so constant mapped columns cannot produce singular
     likelihoods.
     """
-    labels = _require_labeled(ds)
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
-    feats = ds.features
+    _require_nonempty(ds)
+    feats, labels = ds.features, ds.labels
     base = float(feats.var(axis=0).mean())
     floor = _VAR_FLOOR_FACTOR * base if base > 0.0 else _VAR_FLOOR_FACTOR
     class_ids = np.unique(labels)
@@ -129,7 +122,7 @@ def gnb_fit(ds: Dataset, n_classes: int | None = None) -> GnbModel:
         priors[i] = rows.shape[0] / feats.shape[0]
         means[i] = rows.mean(axis=0)
         variances[i] = np.maximum(rows.var(axis=0), floor)
-    return GnbModel(class_ids, priors, means, variances, int(n_classes))
+    return GnbModel(class_ids, priors, means, variances, ds.n_classes)
 
 
 def gnb_predict(model: GnbModel, queries: np.ndarray) -> np.ndarray:

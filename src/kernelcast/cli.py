@@ -79,10 +79,10 @@ def _fit_report(report, ds: Dataset, ell: int | None, seed: int):
     return build_ensemble(report, ds, ell=ell, seed=seed)
 
 
-def _predict(model: KmsModel | Ensemble, queries: Dataset) -> np.ndarray:
+def _predict(model: KmsModel | Ensemble, features: np.ndarray) -> np.ndarray:
     if isinstance(model, Ensemble):
-        return ensemble_predict(model, queries)
-    return kms_predict(model, queries)
+        return ensemble_predict(model, features)
+    return kms_predict(model, features)
 
 
 def cmd_train(args) -> int:
@@ -119,22 +119,23 @@ def cmd_predict(args) -> int:
     if args.dump_mapped is not None and not isinstance(model, KmsModel):
         raise CliError("--dump-mapped works only with single models")
     names = model.label_names
+    truth = None
     if args.truth_col is not None:
         queries = load_csv(args.data, label_column=args.truth_col,
                            has_header=args.has_header, vocabulary=names)
+        features, truth = queries.features, queries.labels
     else:
-        queries = Dataset(load_feature_csv(args.data, has_header=args.has_header), None, names)
-    predicted = _predict(model, queries)
+        features = load_feature_csv(args.data, has_header=args.has_header)
+    predicted = _predict(model, features)
     with open(args.out, "w", encoding="utf-8") as fh:
         for label_id in predicted:
             fh.write(names[int(label_id)] + "\n")
     if args.dump_mapped is not None:
-        mapped = map_matrix(model.scaler.transform(queries.features), model.refs,
-                            model.config.kernel)
+        mapped = map_matrix(model.scaler.transform(features), model.refs, model.config.kernel)
         np.savetxt(args.dump_mapped, mapped, delimiter=",")
     print(f"wrote {len(predicted)} predictions -> {args.out}")
-    if queries.labels is not None:
-        ber = balanced_error_rate(queries.labels, predicted, len(names))
+    if truth is not None:
+        ber = balanced_error_rate(truth, predicted, len(names))
         print(f"BER: {ber:.6f}")
     return 0
 
@@ -196,6 +197,8 @@ def cmd_benchmark(args) -> int:
     if len(set(methods)) != len(methods):
         raise CliError("--methods contains duplicates")
     parsed = {m: _parse_method(m) for m in methods}
+    if args.max_splits is not None and args.max_splits < 1:
+        raise CliError("--max-splits must be at least 1")
     datasets = _load_manifest(args.manifest)
 
     results = []
@@ -222,7 +225,7 @@ def cmd_benchmark(args) -> int:
             for method, (is_ens, mode, flt) in parsed.items():
                 seed, report = searches[(mode, flt)]
                 model = _fit_report(report, train, args.ensemble_size if is_ens else None, seed)
-                predicted = _predict(model, test)
+                predicted = _predict(model, test.features)
                 per_method[method]["ber"].append(
                     balanced_error_rate(test.labels, predicted, train.n_classes))
                 per_method[method]["ber_fn_only"].append(

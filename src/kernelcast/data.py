@@ -23,14 +23,14 @@ class Dataset:
     Attributes
     ----------
     features : (n, d) float64 matrix; every entry finite.
-    labels : (n,) int64 label ids, or None for unlabeled query sets.
+    labels : (n,) int64 label ids.
     label_names : ordered label vocabulary; id ``i`` means ``label_names[i]``.
 
     Treated as immutable by every consumer; operations return new instances.
     """
 
     features: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
     label_names: list[str]
 
     def __post_init__(self):
@@ -43,13 +43,12 @@ class Dataset:
             raise DataError(f"non-finite feature value at row {r}, column {c}")
         self.features = feats
         self.label_names = list(self.label_names)
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-                raise DataError("labels must be one id per feature row")
-            if labels.size and (labels.min() < 0 or labels.max() >= len(self.label_names)):
-                raise DataError("label id out of range of the vocabulary")
-            self.labels = labels
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
+            raise DataError("labels must be one id per feature row")
+        if labels.size and (labels.min() < 0 or labels.max() >= len(self.label_names)):
+            raise DataError("label id out of range of the vocabulary")
+        self.labels = labels
 
     @property
     def n(self) -> int:
@@ -65,8 +64,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
-        labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.features[indices], labels, self.label_names)
+        return Dataset(self.features[indices], self.labels[indices], self.label_names)
 
 
 def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[np.ndarray, list[str]]:
@@ -197,8 +195,6 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must lie strictly between 0 and 1")
-    if ds.labels is None:
-        raise DataError("stratified_split requires labels")
     rng = rand.derive(seed, rand.SPLIT)
     test_idx: list[np.ndarray] = []
     train_idx: list[np.ndarray] = []
@@ -239,8 +235,6 @@ def make_folds(ds: Dataset, fold_count: int, seed: int) -> FoldPlan:
     Every class must have at least ``fold_count`` samples so that each fold
     sees each class.
     """
-    if ds.labels is None:
-        raise DataError("make_folds requires labels")
     if fold_count < 2:
         raise DataError("fold_count must be at least 2")
     counts = np.bincount(ds.labels, minlength=ds.n_classes)

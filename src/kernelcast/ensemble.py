@@ -62,9 +62,9 @@ def build_ensemble(report: SearchReport, ds: Dataset, ell: int = DEFAULT_ENSEMBL
     return Ensemble(members, seed)
 
 
-def member_votes(ens: Ensemble, queries: Dataset) -> np.ndarray:
+def member_votes(ens: Ensemble, features: np.ndarray) -> np.ndarray:
     """(members, queries) matrix of individual member predictions."""
-    return np.stack([kms_predict(m, queries) for m in ens.members])
+    return np.stack([kms_predict(m, features) for m in ens.members])
 
 
 def _tally(votes: np.ndarray, n_classes: int, vote_seed: int) -> np.ndarray:
@@ -81,9 +81,9 @@ def _tally(votes: np.ndarray, n_classes: int, vote_seed: int) -> np.ndarray:
     return winners
 
 
-def ensemble_predict(ens: Ensemble, queries: Dataset) -> np.ndarray:
-    """Plurality vote over member predictions."""
-    return _tally(member_votes(ens, queries), ens.n_classes, ens.vote_seed)
+def ensemble_predict(ens: Ensemble, features: np.ndarray) -> np.ndarray:
+    """Plurality vote over member predictions for raw query rows."""
+    return _tally(member_votes(ens, features), ens.n_classes, ens.vote_seed)
 
 
 def discordance_ratio(a, b) -> float:
@@ -133,7 +133,7 @@ def consensus_curve(report: SearchReport, ds_train: Dataset, ds_eval: Dataset | 
     ells = list(range(ell_start, ell_max + 1, step))
     largest = build_ensemble(report, ds_train, ells[-1] + step, seed)
     eval_ds = ds_train if ds_eval is None else ds_eval
-    votes = member_votes(largest, eval_ds)
+    votes = member_votes(largest, eval_ds.features)
     sizes = sorted({*ells, *(ell + step for ell in ells)})
     predictions = {size: _tally(votes[:size], largest.n_classes, seed) for size in sizes}
     raw = [discordance_ratio(predictions[ell], predictions[ell + step]) for ell in ells]

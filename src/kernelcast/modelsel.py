@@ -171,17 +171,12 @@ class KmsModel:
 
 def fit_pipeline(cfg: Configuration, train: Dataset, seed: int) -> KmsModel:
     """Fit scaler, references, and internal classifier on one training set."""
-    if train.labels is None:
-        raise SearchError("training data must be labeled")
     spec = fit_scaler(cfg.scaler, train)
     scaled = apply_scaler(spec, train)
     refs = make_reference_set(scaled, cfg.sampler, cfg.k_references,
                               cfg.sampling_distance, cfg.ref_type, seed)
     mapped = map_dataset(scaled, refs, cfg.kernel)
-    if cfg.classifier == "knn":
-        inner = knn_fit(mapped, cfg.knn, train.n_classes)
-    else:
-        inner = gnb_fit(mapped, train.n_classes)
+    inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
     return KmsModel(cfg, spec, refs, inner, list(train.label_names))
 
 
@@ -244,6 +239,11 @@ class SearchReport:
         return entry
 
 
+def best_entry_index(entries: list[EvalOutcome]) -> int:
+    """Index of the lowest cv_ber, the first in evaluation order on ties."""
+    return min(range(len(entries)), key=lambda i: (entries[i].cv_ber, i))
+
+
 def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed: int,
                 scaler: str, mode: str, sampler_filter: str | None,
                 threads: int | None) -> SearchReport:
@@ -260,7 +260,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error)
 
     entries = parallel.map_indexed(evaluate, configs, threads)
-    best = min(range(len(entries)), key=lambda i: (entries[i].cv_ber, i))
+    best = best_entry_index(entries)
     return SearchReport(entries, best, seed, fold_count, scaler, mode, sampler_filter,
                         (ds.n, ds.dim, ds.n_classes), folds.fold_of)
 
@@ -308,13 +308,13 @@ def grid_search(ds: Dataset, fold_count: int = DEFAULT_FOLD_COUNT, seed: int = 0
 def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
             cv_ber: float | None = None) -> KmsModel:
     """Fit one configuration on a full training set."""
-    if ds.labels is None or ds.n_classes < 2:
-        raise SearchError("training requires a labeled dataset with at least 2 classes")
+    if ds.n_classes < 2:
+        raise SearchError("training requires a dataset with at least 2 classes")
     model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, config_digest(cfg)))
     model.cv_ber = cv_ber
     return model
 
 
-def kms_predict(model: KmsModel, queries: Dataset) -> np.ndarray:
-    """Predict label ids for a query dataset (labels, if any, are ignored)."""
-    return pipeline_predict(model, queries.features)
+# One function under two names: perfbench/tracing.py wraps modelsel's
+# pipeline_predict (the search) apart from cli's and ensemble's kms_predict.
+kms_predict = pipeline_predict

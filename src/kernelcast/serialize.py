@@ -16,7 +16,8 @@ import numpy as np
 from .classify import GnbModel, KnnModel, KnnParams
 from .data import ScalerSpec
 from .ensemble import Ensemble
-from .modelsel import Configuration, EvalOutcome, KmsModel, SearchReport
+from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
+                       best_entry_index)
 from .sampling import ReferenceSet
 
 FORMAT_VERSION = 1
@@ -204,7 +205,14 @@ def report_from_doc(doc: dict) -> SearchReport:
                     int(e["seed"]), float(e["wall_time"]), e.get("error"))
         for e in doc["evaluated"]
     ]
-    return SearchReport(entries, int(doc["best_index"]), int(doc["master_seed"]),
+    if not entries:
+        raise FormatError("search_report field 'evaluated' is empty")
+    if not all(e.cv_ber >= 0.0 for e in entries):  # also rejects NaN
+        raise FormatError("search_report field 'cv_ber' must be null or a number >= 0")
+    best = int(doc["best_index"])
+    if best != best_entry_index(entries):
+        raise FormatError(f"best_index {best} is not the first entry with the lowest cv_ber")
+    return SearchReport(entries, best, int(doc["master_seed"]),
                         int(doc["fold_count"]), doc["scaler"], doc["mode"],
                         doc["sampler_filter"], tuple(doc["data_shape"]),
                         np.asarray(doc["fold_of"], dtype=np.int64))

@@ -147,8 +147,8 @@ def test_criterion_5_classifier_oracles(announce):
         labels = rng.integers(0, n_classes, size=n)
         labels[:n_classes] = np.arange(n_classes)
         feats = rng.normal(size=(n, 3))
-        model = gnb_fit(Dataset(feats, labels, [str(c) for c in range(n_classes)]),
-                        n_classes=n_classes)
+        model = gnb_fit(Dataset(feats, labels,
+                                [str(c) for c in range(n_classes)]))
         queries = rng.normal(size=(5, 3))
         got = gnb_predict(model, queries)
         agree = True
@@ -177,13 +177,13 @@ def test_criterion_6_ensemble_identities(announce):
     report = random_search(ds, sample_size=20, fold_count=3, seed=4)
     single = build_ensemble(report, ds, ell=1, seed=5)
     best = kms_fit(report.best.config, ds, seed=5, cv_ber=report.best.cv_ber)
-    top_matches = np.array_equal(ensemble_predict(single, ds),
-                                 kms_predict(best, ds))
+    top_matches = np.array_equal(ensemble_predict(single, ds.features),
+                                 kms_predict(best, ds.features))
     member = kms_fit(report.best.config, ds, seed=6)
     unanimous = Ensemble([member] * 7, vote_seed=0)
-    unanimity = np.array_equal(ensemble_predict(unanimous, ds),
-                               kms_predict(member, ds))
-    votes = ensemble_predict(single, ds)
+    unanimity = np.array_equal(ensemble_predict(unanimous, ds.features),
+                               kms_predict(member, ds.features))
+    votes = ensemble_predict(single, ds.features)
     self_zero = discordance_ratio(votes, votes) == 0.0
     ok = top_matches and unanimity and self_zero
     announce(6, "ensemble identities", ok,
@@ -199,12 +199,12 @@ def _benchmark_mean(splits, seed_base, ensemble_size):
         if ensemble_size:
             model = build_ensemble(report, train, ell=ensemble_size,
                                    seed=seed_base + i)
-            predicted = ensemble_predict(model, test)
+            predicted = ensemble_predict(model, test.features)
         else:
             best = report.best
             single = kms_fit(best.config, train, seed_base + i,
                              cv_ber=best.cv_ber)
-            predicted = kms_predict(single, test)
+            predicted = kms_predict(single, test.features)
         scores.append(100.0 * balanced_error_rate(
             test.labels, predicted, train.n_classes,
             include_false_positives=False))

@@ -8,10 +8,12 @@ from kernelcast.classify import (ClassifierError, GnbModel, KnnParams,
 from kernelcast.data import Dataset
 
 
-def mapped(features, labels):
+def mapped(features, labels, n_classes=None):
     labels = np.asarray(labels, dtype=np.int64)
+    if n_classes is None:
+        n_classes = labels.max() + 1
     return Dataset(np.asarray(features, dtype=float), labels,
-                   [f"c{i}" for i in range(labels.max() + 1)])
+                   [f"c{i}" for i in range(n_classes)])
 
 
 def params(k=1, weighting="uniform", distance="euclidean"):
@@ -97,11 +99,6 @@ def test_knn_rejects_bad_params():
         KnnParams(3, "uniform", "cosine")
 
 
-def test_knn_rejects_unlabeled_training_data():
-    with pytest.raises(ClassifierError):
-        knn_fit(Dataset(np.ones((3, 1)), None, []), params(1))
-
-
 # ------------------------------------------------------------------ gnb
 
 def test_gnb_separated_blobs():
@@ -159,7 +156,7 @@ def test_gnb_brute_force_oracle():
         while len(np.unique(labels)) < n_classes:
             labels = rng.integers(0, n_classes, size=n)
         feats = rng.normal(size=(n, 3)) * rng.uniform(0.5, 2.0)
-        model = gnb_fit(mapped(feats, labels), n_classes=n_classes)
+        model = gnb_fit(mapped(feats, labels, n_classes))
         queries = rng.normal(size=(4, 3))
         got = gnb_predict(model, queries)
         for qi, q in enumerate(queries):
@@ -180,10 +177,13 @@ def test_gnb_class_ids_ascending():
 
 
 def test_gnb_single_class_always_predicts_it():
-    model = gnb_fit(mapped(np.ones((3, 1)), [1, 1, 1]), n_classes=2)
+    model = gnb_fit(mapped(np.ones((3, 1)), [1, 1, 1], 2))
     assert gnb_predict(model, np.zeros((4, 1))).tolist() == [1, 1, 1, 1]
 
 
-def test_gnb_rejects_unlabeled_training_data():
+def test_fit_rejects_empty_training_data():
+    empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), ["a", "b"])
     with pytest.raises(ClassifierError):
-        gnb_fit(Dataset(np.ones((3, 1)), None, []))
+        knn_fit(empty, params(1))
+    with pytest.raises(ClassifierError):
+        gnb_fit(empty)

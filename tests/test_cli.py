@@ -173,6 +173,18 @@ def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, 
     assert not out.exists() and not mapped.exists()
 
 
+def test_train_rejects_report_whose_best_index_is_not_the_best(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "report.json").read_text())
+    doc["best_index"] = -1
+    report = tmp_path / "edited.json"
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert "error: best_index -1 is not" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_shape_mismatch_warns(workdir, tmp_path, capsys):
     assert main(["train", "--data", str(workdir / "holdout.csv"),
                  "--report", str(workdir / "report.json"),
@@ -266,6 +278,18 @@ def test_benchmark_rejects_empty_ensemble(workdir, tmp_path, capsys):
     assert main(["benchmark", "--manifest", str(mpath), "--methods", "kmse-rs",
                  "--budget", "4", "--ensemble-size", "0", "--out", str(out)]) == 1
     assert "ensemble size must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_splits", ["0", "-1"])
+def test_benchmark_rejects_max_splits_below_one(workdir, tmp_path, capsys, max_splits):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"datasets": [{"name": "blobs", "splits": [
+        {"train": str(workdir / "train.csv"), "test": str(workdir / "holdout.csv")}]}]}))
+    out = tmp_path / "b.json"
+    assert main(["benchmark", "--manifest", str(mpath), "--budget", "4",
+                 "--max-splits", max_splits, "--out", str(out)]) == 1
+    assert "--max-splits must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 

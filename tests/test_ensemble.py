@@ -35,7 +35,8 @@ def test_single_member_ensemble_equals_best_model(blob_search):
     ds, report = blob_search
     ens = build_ensemble(report, ds, ell=1, seed=5)
     solo = kms_fit(report.best.config, ds, seed=5, cv_ber=report.best.cv_ber)
-    assert np.array_equal(ensemble_predict(ens, ds), kms_predict(solo, ds))
+    assert np.array_equal(ensemble_predict(ens, ds.features),
+                          kms_predict(solo, ds.features))
     assert ens.members[0].cv_ber == report.best.cv_ber
 
 
@@ -52,14 +53,15 @@ def test_unanimous_members_win_every_query(blob_search):
     ds, _ = blob_search
     member = kms_fit(knn_config(), ds, seed=3)
     ens = Ensemble([member] * 5, vote_seed=0)
-    assert np.array_equal(ensemble_predict(ens, ds), kms_predict(member, ds))
+    assert np.array_equal(ensemble_predict(ens, ds.features),
+                          kms_predict(member, ds.features))
 
 
 def test_majority_two_against_one():
     ds = make_blobs(n_per_class=20, spread=0.2, gap=6.0, seed=1)
     straight = kms_fit(knn_config(), ds, seed=4)
     contrary = kms_fit(knn_config(), flipped(ds), seed=4)
-    queries = ds
+    queries = ds.features
     want = kms_predict(straight, queries)
     two_one = Ensemble([straight, straight, contrary], vote_seed=0)
     assert np.array_equal(ensemble_predict(two_one, queries), want)
@@ -72,22 +74,23 @@ def test_tied_votes_break_deterministically():
     straight = kms_fit(knn_config(), ds, seed=6)
     contrary = kms_fit(knn_config(), flipped(ds), seed=6)
     ens = Ensemble([straight, contrary], vote_seed=9)
-    first = ensemble_predict(ens, ds)
-    assert np.array_equal(first, ensemble_predict(ens, ds))
+    first = ensemble_predict(ens, ds.features)
+    assert np.array_equal(first, ensemble_predict(ens, ds.features))
     # the tie-break keys on the query position, not the member order
     swapped = Ensemble([contrary, straight], vote_seed=9)
-    assert np.array_equal(first, ensemble_predict(swapped, ds))
+    assert np.array_equal(first, ensemble_predict(swapped, ds.features))
     # across 40 tied queries both outcomes occur
     assert 0 < first.sum() < first.size
-    other = ensemble_predict(Ensemble([straight, contrary], vote_seed=10), ds)
+    other = ensemble_predict(Ensemble([straight, contrary], vote_seed=10),
+                             ds.features)
     assert not np.array_equal(first, other)
 
 
 def test_odd_ensemble_matches_hand_count(blob_search):
     ds, report = blob_search
     ens = build_ensemble(report, ds, ell=5, seed=7)
-    votes = member_votes(ens, ds)
-    got = ensemble_predict(ens, ds)
+    votes = member_votes(ens, ds.features)
+    got = ensemble_predict(ens, ds.features)
     for q in range(ds.n):
         counts = np.bincount(votes[:, q], minlength=ds.n_classes)
         order = np.argsort(-counts, kind="stable")
@@ -131,8 +134,8 @@ def test_consensus_prefix_matches_directly_built_ensemble(blob_search):
                             seed=11)
     small = build_ensemble(report, ds, ell=3, seed=11)
     grown = build_ensemble(report, ds, ell=5, seed=11)
-    want = discordance_ratio(ensemble_predict(small, ds),
-                             ensemble_predict(grown, ds))
+    want = discordance_ratio(ensemble_predict(small, ds.features),
+                             ensemble_predict(grown, ds.features))
     assert curve.raw[0] == pytest.approx(want)
 
 

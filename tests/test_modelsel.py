@@ -293,7 +293,7 @@ def test_kms_fit_predict_roundtrip():
     ds = make_blobs(n_per_class=30, spread=0.2, gap=6.0, seed=13)
     cfg = knn_config(k_references=8)
     model = kms_fit(cfg, ds, seed=17)
-    preds = kms_predict(model, ds)
+    preds = kms_predict(model, ds.features)
     assert balanced_error_rate(ds.labels, preds, ds.n_classes) <= 0.1
     assert model.label_names == ds.label_names
 
@@ -303,8 +303,7 @@ def test_kms_serialization_preserves_predictions():
     cfg = knn_config(k_references=4, kernel="cauchy")
     model = kms_fit(cfg, ds, seed=19, cv_ber=0.125)
     clone = from_json(to_json(model))
-    queries = Dataset(np.random.default_rng(15).normal(size=(20, 2)),
-                      None, ds.label_names)
+    queries = np.random.default_rng(15).normal(size=(20, 2))
     assert np.array_equal(kms_predict(model, queries),
                           kms_predict(clone, queries))
     assert clone.cv_ber == 0.125

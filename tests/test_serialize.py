@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kernelcast.classify import KnnParams
-from kernelcast.data import Dataset
 from kernelcast.ensemble import Ensemble, build_ensemble, ensemble_predict
 from kernelcast.modelsel import Configuration, kms_fit, random_search
 from kernelcast.serialize import (FormatError, from_json, load, save,
@@ -27,8 +26,7 @@ def test_ensemble_roundtrip_predicts_identically(trained):
     assert isinstance(clone, Ensemble)
     assert clone.vote_seed == ens.vote_seed
     assert clone.label_names == ens.label_names
-    queries = Dataset(np.random.default_rng(3).normal(size=(15, ds.dim)),
-                      None, ds.label_names)
+    queries = np.random.default_rng(3).normal(size=(15, ds.dim))
     assert np.array_equal(ensemble_predict(clone, queries),
                           ensemble_predict(ens, queries))
     assert [m.cv_ber for m in clone.members] == [m.cv_ber for m in ens.members]
@@ -164,4 +162,36 @@ def test_rejects_ensemble_members_with_different_label_names(trained):
     doc = json.loads(to_json(trained[2]))
     doc["members"][1]["label_names"] = ["c1", "c0"]
     with pytest.raises(FormatError, match="different label_names"):
+        from_json(json.dumps(doc))
+
+
+def report_doc(report, cv_bers, best_index):
+    doc = json.loads(to_json(report))
+    for entry, cv_ber in zip(doc["evaluated"], cv_bers):
+        entry["cv_ber"] = cv_ber
+    doc["best_index"] = best_index
+    return doc
+
+
+def test_rejects_report_without_entries(trained):
+    doc = json.loads(to_json(trained[1]))
+    doc["evaluated"] = []
+    with pytest.raises(FormatError, match="field 'evaluated' is empty"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("cv_ber", [float("nan"), -5.0])
+def test_rejects_report_with_invalid_cv_ber(trained, cv_ber):
+    doc = report_doc(trained[1], [0.4, cv_ber], 0)
+    with pytest.raises(FormatError, match="field 'cv_ber' must be null or a number >= 0"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("best_index", [999, -1, 3])
+def test_rejects_report_whose_best_index_is_not_the_best_entry(trained, best_index):
+    # entries 1 and 3 tie on the lowest cv_ber; the first of them is the best
+    cv_bers = [0.4, 0.0, None, 0.0] + [0.4] * 6
+    from_json(json.dumps(report_doc(trained[1], cv_bers, 1)))
+    doc = report_doc(trained[1], cv_bers, best_index)
+    with pytest.raises(FormatError, match=f"best_index {best_index} is not"):
         from_json(json.dumps(doc))
