@@ -12,8 +12,8 @@ from .data import (Dataset, FoldPlan, ScalerSpec, apply_scaler, fit_scaler,
                    load_csv, make_folds, split_fold, stratified_split)
 from .ensemble import (ConsensusCurve, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
-from .geometry import centroid, distance, nearest_reference, pairwise
-from .kernelmap import kernel_value, map_dataset
+from .geometry import pairwise
+from .kernelmap import map_dataset
 from .modelsel import (Configuration, KmsModel, SearchReport,
                        balanced_error_rate, enumerate_grid, evaluate_config,
                        grid_search, kms_fit, kms_predict, random_search)
@@ -25,13 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "FoldPlan",
-    "KmsModel", "KnnParams", "ReferenceSet",
-    "ScalerSpec", "SearchReport", "apply_scaler",
-    "balanced_error_rate", "build_ensemble", "centroid", "consensus_curve",
-    "distance", "ensemble_predict", "enumerate_grid", "evaluate_config",
-    "finalize_references", "fit_scaler", "grid_search", "kernel_value",
-    "kms_fit", "kms_predict", "load_csv", "make_folds", "make_reference_set",
-    "map_dataset", "nearest_reference", "pairwise", "random_search",
-    "sample_density", "sample_fft", "sample_kmeans", "sample_random",
-    "split_fold", "stratified_split", "__version__",
+    "KmsModel", "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport",
+    "apply_scaler", "balanced_error_rate", "build_ensemble", "consensus_curve",
+    "ensemble_predict", "enumerate_grid", "evaluate_config",
+    "finalize_references", "fit_scaler", "grid_search", "kms_fit",
+    "kms_predict", "load_csv", "make_folds", "make_reference_set",
+    "map_dataset", "pairwise", "random_search", "sample_density",
+    "sample_fft", "sample_kmeans", "sample_random", "split_fold",
+    "stratified_split", "__version__",
 ]

@@ -93,7 +93,12 @@ def cmd_train(args) -> int:
         if args.ensemble_size:
             raise CliError("--ensemble-size requires --report (ensembles come from a search)")
         with open(args.config, encoding="utf-8") as fh:
-            cfg = Configuration.from_dict(json.load(fh))
+            doc = json.load(fh)
+        try:
+            cfg = Configuration.from_dict(doc)
+        except KeyError as exc:
+            raise CliError(f"{args.config}: configuration is missing field "
+                           f"{exc.args[0]!r}") from None
         model = kms_fit(cfg, ds, args.seed)
         serialize.save(model, args.out)
         print(f"trained single model -> {args.out}")

@@ -86,14 +86,20 @@ def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[
     return ids, names
 
 
-def _read_rows(path, has_header: bool) -> tuple[list[str] | None, list[list[str]], int]:
+def _read_rows(path, has_header: bool) -> tuple[list[str] | None, list[list[str]], list[int]]:
+    """Header, non-empty rows, and the file line each of those rows ends on."""
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if has_header:
         if not rows:
             raise DataError(f"{path}: empty file")
-        return rows[0], rows[1:], 2
-    return None, rows, 1
+        return rows[0], rows[1:], lines[1:]
+    return None, rows, lines
 
 
 def _resolve_column(label_column, header: list[str] | None, width: int) -> int:
@@ -126,14 +132,14 @@ def _parse_cell(cell: str, line: int, column: int) -> float:
     return value
 
 
-def _parse_rows(path, rows: list[list[str]], first_line: int,
+def _parse_rows(path, rows: list[list[str]], lines: list[int],
                 label_idx: int | None = None) -> tuple[np.ndarray, list[str]]:
     """Parse equal-width rows into a feature matrix, keeping column ``label_idx`` as text."""
     width = len(rows[0])
     features = np.empty((len(rows), width - (label_idx is not None)), dtype=np.float64)
     raw_labels: list[str] = []
     for i, row in enumerate(rows):
-        line = i + first_line
+        line = lines[i]
         if len(row) != width:
             raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
         k = 0
@@ -160,14 +166,14 @@ def load_csv(path, label_column=-1, has_header: bool = False,
         and unseen labels are an error.  Otherwise ids follow first appearance
         and the file must contain at least two classes.
     """
-    header, rows, first_line = _read_rows(path, has_header)
+    header, rows, lines = _read_rows(path, has_header)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
     width = len(rows[0])
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus the label column")
     label_idx = _resolve_column(label_column, header, width)
-    features, raw_labels = _parse_rows(path, rows, first_line, label_idx)
+    features, raw_labels = _parse_rows(path, rows, lines, label_idx)
     labels, names = encode_labels(raw_labels, vocabulary)
     if vocabulary is None and len(names) < 2:
         raise DataError(f"{path}: need at least 2 classes, found {len(names)}")
@@ -176,10 +182,10 @@ def load_csv(path, label_column=-1, has_header: bool = False,
 
 def load_feature_csv(path, has_header: bool = False) -> np.ndarray:
     """Load an unlabeled feature matrix from CSV (every column is a feature)."""
-    _, rows, first_line = _read_rows(path, has_header)
+    _, rows, lines = _read_rows(path, has_header)
     if not rows:
         raise DataError(f"{path}: empty file")
-    return _parse_rows(path, rows, first_line)[0]
+    return _parse_rows(path, rows, lines)[0]
 
 
 def _round_half_up(x: float) -> int:

@@ -1,4 +1,4 @@
-"""Distance functions and centroid computation.
+"""Distance matrices between sets of row vectors.
 
 Shared by prototype sampling, kernel mapping, and the kNN classifier so that
 every component measures dissimilarity the same way.
@@ -72,29 +72,3 @@ def pairwise(kind: str, a, b) -> np.ndarray:
     if kind == "euclidean":
         return _euclidean_matrix(a, b)
     return _angle_matrix(a, b)
-
-
-def distance(kind: str, x, c) -> float:
-    """Distance between two vectors under the given kind."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    c = np.asarray(c, dtype=np.float64).reshape(1, -1)
-    return float(pairwise(kind, x, c)[0, 0])
-
-
-def centroid(points) -> np.ndarray:
-    """Arithmetic mean of a non-empty set of row vectors."""
-    points = _as_matrix(points)
-    if points.shape[0] == 0:
-        raise ValueError("centroid of an empty point set is undefined")
-    return points.mean(axis=0)
-
-
-def nearest_reference(kind: str, x, refs) -> tuple[int, float]:
-    """Index and distance of the reference row closest to ``x``.
-
-    Ties break toward the lowest reference index.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    d = pairwise(kind, x, refs)[0]
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])

@@ -47,13 +47,6 @@ def kernel_matrix(kind: str, dists: np.ndarray, sigmas: np.ndarray) -> np.ndarra
     return 1.0 / (1.0 + dists / sigmas)
 
 
-def kernel_value(kind: str, dist: float, sigma: float) -> float:
-    """Scalar kernel response for one distance/scale pair."""
-    if dist < 0.0 or not np.isfinite(dist):
-        raise KernelError("distance must be finite and non-negative")
-    return float(kernel_matrix(kind, np.array([[dist]]), np.array([sigma]))[0, 0])
-
-
 def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str) -> np.ndarray:
     """Map a raw feature matrix into kernel space against a reference set."""
     features = np.asarray(features, dtype=np.float64)

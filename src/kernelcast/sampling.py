@@ -47,6 +47,8 @@ class ReferenceSet:
             raise SamplingError("reference set must hold at least one row vector")
         if self.sigmas.shape != (self.refs.shape[0],):
             raise SamplingError("need exactly one sigma per reference")
+        if not np.isfinite(self.refs).all():
+            raise SamplingError("refs must be finite")
         if not np.isfinite(self.sigmas).all() or (self.sigmas <= 0).any():
             raise SamplingError("sigmas must be finite and strictly positive")
         if self.kind_used not in SAMPLER_KINDS:
@@ -233,12 +235,6 @@ def _repair_sigmas(sigmas: np.ndarray) -> np.ndarray:
     return np.where(sigmas > 0.0, sigmas, fill)
 
 
-def assign_regions(dist: str, features: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Voronoi assignment: each row's nearest reference ordinal (ties to the lowest)."""
-    dists = geometry.pairwise(dist, features, refs)
-    return np.asarray(np.argmin(dists, axis=1), dtype=np.int64)
-
-
 def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
                         sampler: str) -> ReferenceSet:
     """Turn picked row indices into a ReferenceSet with per-reference scales.
@@ -252,7 +248,7 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
         raise SamplingError(f"unknown reference type {ref_type!r}")
     refs = ds.features[np.asarray(picked, dtype=np.int64)].astype(np.float64).copy()
     if ref_type == "centroids":
-        assign = assign_regions(dist, ds.features, refs)
+        assign = np.argmin(geometry.pairwise(dist, ds.features, refs), axis=1)
         converted = refs.copy()
         for j in range(refs.shape[0]):
             members = ds.features[assign == j]

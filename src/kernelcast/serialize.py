@@ -18,7 +18,7 @@ from .data import ScalerSpec
 from .ensemble import Ensemble
 from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
                        best_entry_index)
-from .sampling import ReferenceSet
+from .sampling import ReferenceSet, SamplingError
 
 FORMAT_VERSION = 1
 
@@ -67,9 +67,12 @@ def refs_to_doc(refs: ReferenceSet) -> dict:
 
 
 def refs_from_doc(doc: dict) -> ReferenceSet:
-    return ReferenceSet(np.asarray(doc["refs"], dtype=np.float64),
-                        np.asarray(doc["sigmas"], dtype=np.float64),
-                        doc["kind_used"], doc["distance_used"], doc["ref_type"])
+    try:
+        return ReferenceSet(np.asarray(doc["refs"], dtype=np.float64),
+                            np.asarray(doc["sigmas"], dtype=np.float64),
+                            doc["kind_used"], doc["distance_used"], doc["ref_type"])
+    except SamplingError as exc:
+        raise FormatError(f"references: {exc}") from None
 
 
 def _inner_to_doc(inner) -> dict:
@@ -125,16 +128,27 @@ def kms_to_doc(model: KmsModel) -> dict:
 
 def _check_model(model: KmsModel) -> None:
     """Cross-field checks, so a malformed model fails on load, not when predicting."""
-    n_refs, width = model.refs.refs.shape
+    cfg, spec, refs, inner = model.config, model.scaler, model.refs, model.inner
+    knn = isinstance(inner, KnnModel)
+    repeated = [("scaler.kind", spec.kind, cfg.scaler),
+                ("references.kind_used", refs.kind_used, cfg.sampler),
+                ("references.distance_used", refs.distance_used, cfg.sampling_distance),
+                ("references.ref_type", refs.ref_type, cfg.ref_type),
+                ("inner.kind", "knn" if knn else "gnb", cfg.classifier)]
+    if knn and cfg.knn is not None:
+        repeated += [(f"inner.{name}", getattr(inner.params, name), getattr(cfg.knn, name))
+                     for name in ("neighbors", "weighting", "distance")]
+    for field, stored, configured in repeated:
+        if stored != configured:
+            raise FormatError(f"{field} {stored!r} does not match the config's {configured!r}")
+    n_refs, width = refs.refs.shape
     n_classes = len(model.label_names)
-    inner = model.inner
     if inner.n_classes != n_classes:
         raise FormatError(f"inner.n_classes {inner.n_classes} does not match "
                           f"the {n_classes} label_names")
-    spec = model.scaler
     if {spec.offset.shape, spec.scale.shape, spec.active.shape} != {(width,)}:
         raise FormatError(f"scaler width does not match the reference width {width}")
-    if isinstance(inner, KnnModel):
+    if knn:
         matrix, matrix_field, ids, ids_field = inner.features, "features", inner.labels, "labels"
     else:
         matrix, matrix_field, ids, ids_field = inner.means, "means", inner.class_ids, "class_ids"
@@ -144,6 +158,17 @@ def _check_model(model: KmsModel) -> None:
         raise FormatError(f"inner.{ids_field} count does not match the inner.{matrix_field} rows")
     if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
         raise FormatError(f"inner.{ids_field} outside [0, {n_classes})")
+    # (field, values, bound): every value must be finite and above the bound
+    checks = [("scaler.offset", spec.offset, -np.inf), ("scaler.scale", spec.scale, 0.0),
+              (f"inner.{matrix_field}", matrix, -np.inf)]
+    if not knn:
+        checks += [("inner.priors", inner.priors, 0.0), ("inner.variances", inner.variances, 0.0)]
+    for field, values, bound in checks:
+        if not (np.isfinite(values) & (values > bound)).all():
+            above = f" and > {bound:g}" if bound > -np.inf else ""
+            raise FormatError(f"{field} must be finite{above}")
+    if not knn and (inner.priors > 1.0).any():
+        raise FormatError("inner.priors must be <= 1")
 
 
 def kms_from_doc(doc: dict) -> KmsModel:

@@ -160,6 +160,20 @@ def test_predict_dump_mapped_matrix(workdir, tmp_path):
     assert np.all((mapped >= 0) & (mapped <= 1))
 
 
+@pytest.mark.parametrize("section,field", [(None, "kernel"), ("knn", "weighting")])
+def test_train_config_missing_field_is_named(workdir, tmp_path, capsys, section, field):
+    cfg = dict(k_references=4, sampling_distance="euclidean", sampler="random",
+               kernel="cauchy", ref_type="centers", classifier="knn",
+               knn=dict(neighbors=3, weighting="uniform", distance="euclidean"))
+    del (cfg[section] if section else cfg)[field]
+    cfg_path, model = tmp_path / "cfg.json", tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--config", str(cfg_path), "--out", str(model)]) == 1
+    assert f"configuration is missing field '{field}'" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, capsys):
     model = tmp_path / "ens.json"
     assert main(["train", "--data", str(workdir / "train.csv"),

@@ -58,6 +58,17 @@ def test_ragged_row_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1,2,a\n\n3,4,b\n5,x,a\n", "'x' as a number at line 4, column 2"),
+    ("1,2,a\n\n3,4,b\n5,a\n", "line 4 has 2 cells"),
+    ("x,y,c\n\n1,2,a\n\n\n3,NaN,b\n", "'NaN' at line 6, column 2"),
+], ids=["bad-cell", "ragged-row", "after-header"])
+def test_error_line_counts_blank_lines(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(DataError, match=message):
+        load_csv(path, has_header=text.startswith("x"))
+
+
 def test_too_few_rows_rejected(tmp_path):
     path = write(tmp_path, "1,2,a\n")
     with pytest.raises(DataError, match="at least 2 data rows"):

@@ -2,21 +2,28 @@ import numpy as np
 import pytest
 
 from kernelcast import geometry
+from kernelcast.data import Dataset
+from kernelcast.sampling import finalize_references
+
+
+def pair_distance(kind, x, c):
+    """Distance between two vectors: ``pairwise`` on one-row matrices."""
+    return geometry.pairwise(kind, np.reshape(x, (1, -1)), np.reshape(c, (1, -1)))[0, 0]
 
 
 def test_euclidean_345_triangle():
-    assert geometry.distance("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert pair_distance("euclidean", [0.0, 0.0], [3.0, 4.0]) == 5.0
 
 
 def test_euclidean_identity_is_exactly_zero():
     rng = np.random.default_rng(1)
     for _ in range(50):
         x = rng.normal(size=rng.integers(1, 8))
-        assert geometry.distance("euclidean", x, x) == 0.0
+        assert pair_distance("euclidean", x, x) == 0.0
 
 
 def test_angle_orthogonal_vectors():
-    assert geometry.distance("angle", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.pi / 2)
+    assert pair_distance("angle", [1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.pi / 2)
 
 
 def test_angle_identity_near_zero():
@@ -24,24 +31,24 @@ def test_angle_identity_near_zero():
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = rng.normal(size=rng.integers(1, 8))
-        assert geometry.distance("angle", x, x) <= 1e-7
+        assert pair_distance("angle", x, x) <= 1e-7
 
 
 def test_angle_opposite_vectors():
-    assert geometry.distance("angle", [1.0, 2.0], [-1.0, -2.0]) == pytest.approx(np.pi)
+    assert pair_distance("angle", [1.0, 2.0], [-1.0, -2.0]) == pytest.approx(np.pi)
 
 
 def test_angle_zero_vector_convention():
-    assert geometry.distance("angle", [0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.pi / 2)
-    assert geometry.distance("angle", [0.0, 0.0], [0.0, 0.0]) == pytest.approx(np.pi / 2)
+    assert pair_distance("angle", [0.0, 0.0], [1.0, 1.0]) == pytest.approx(np.pi / 2)
+    assert pair_distance("angle", [0.0, 0.0], [0.0, 0.0]) == pytest.approx(np.pi / 2)
 
 
 def test_angle_scale_invariant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         x, c = rng.normal(size=4), rng.normal(size=4)
-        assert geometry.distance("angle", x, c) == pytest.approx(
-            geometry.distance("angle", 7.5 * x, 0.2 * c), abs=1e-12)
+        assert pair_distance("angle", x, c) == pytest.approx(
+            pair_distance("angle", 7.5 * x, 0.2 * c), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
@@ -49,8 +56,8 @@ def test_symmetry(kind):
     rng = np.random.default_rng(4)
     for _ in range(50):
         x, c = rng.normal(size=5), rng.normal(size=5)
-        assert geometry.distance(kind, x, c) == pytest.approx(
-            geometry.distance(kind, c, x), abs=1e-12)
+        assert pair_distance(kind, x, c) == pytest.approx(
+            pair_distance(kind, c, x), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
@@ -58,9 +65,9 @@ def test_triangle_inequality(kind):
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b, c = rng.normal(size=(3, 4))
-        ab = geometry.distance(kind, a, b)
-        bc = geometry.distance(kind, b, c)
-        ac = geometry.distance(kind, a, c)
+        ab = pair_distance(kind, a, b)
+        bc = pair_distance(kind, b, c)
+        ac = pair_distance(kind, a, c)
         assert ac <= ab + bc + 1e-9
 
 
@@ -79,7 +86,7 @@ def test_pairwise_matches_scalar_loop():
         assert mat.shape == (6, 4)
         for i in range(6):
             for j in range(4):
-                assert mat[i, j] == pytest.approx(geometry.distance(kind, a[i], b[j]), abs=1e-12)
+                assert mat[i, j] == pytest.approx(pair_distance(kind, a[i], b[j]), abs=1e-12)
 
 
 def test_euclidean_brute_force_agreement():
@@ -96,26 +103,22 @@ def test_dimension_mismatch_rejected():
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        geometry.distance("manhattan", [0.0], [1.0])
+        pair_distance("manhattan", [0.0], [1.0])
 
 
-def test_centroid_mean():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
-    assert np.allclose(geometry.centroid(pts), [1.0, 1.0])
-
-
-def test_centroid_empty_rejected():
-    with pytest.raises(ValueError):
-        geometry.centroid(np.empty((0, 2)))
+def voronoi_centroids(points, picked):
+    """Centroid references: each picked row becomes the mean of its Voronoi region."""
+    ds = Dataset(np.asarray(points, dtype=float), np.zeros(len(points), dtype=int), ["a"])
+    return finalize_references(ds, picked, "centroids", "euclidean", "random").refs
 
 
 def test_nearest_reference_basic():
-    refs = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 5.0]])
-    idx, dist = geometry.nearest_reference("euclidean", [9.0, 0.0], refs)
-    assert idx == 1 and dist == pytest.approx(1.0)
+    # [9, 0] is nearest to reference 1 and moves its centroid
+    refs = voronoi_centroids([[0.0, 0.0], [10.0, 0.0], [5.0, 5.0], [9.0, 0.0]], [0, 1, 2])
+    assert np.array_equal(refs, [[0.0, 0.0], [9.5, 0.0], [5.0, 5.0]])
 
 
 def test_nearest_reference_tie_lowest_index():
-    refs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    idx, _ = geometry.nearest_reference("euclidean", [0.0, 0.0], refs)
-    assert idx == 0
+    # [0, 0] is equidistant from both references and joins the first
+    refs = voronoi_centroids([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], [0, 1])
+    assert np.array_equal(refs, [[0.5, 0.0], [-1.0, 0.0]])

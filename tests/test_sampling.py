@@ -5,10 +5,10 @@ import pytest
 
 from kernelcast import geometry, rand
 from kernelcast.data import Dataset
-from kernelcast.sampling import (SamplingError, assign_regions,
-                                 finalize_references, fft_traverse, lloyd,
-                                 make_reference_set, sample_density,
-                                 sample_fft, sample_kmeans, sample_random)
+from kernelcast.sampling import (SamplingError, finalize_references,
+                                 fft_traverse, lloyd, make_reference_set,
+                                 sample_density, sample_fft, sample_kmeans,
+                                 sample_random)
 from synthdata import random_dataset
 
 
@@ -239,11 +239,12 @@ def test_centroid_conversion_uses_full_training_set():
 def test_region_assignment_matches_per_row_recompute():
     rng = np.random.default_rng(15)
     ds = flat(rng.normal(size=(30, 3)))
-    refs = finalize_references(ds, [0, 5, 9], "centroids", "euclidean", "random")
-    regions = assign_regions("euclidean", ds.features, refs.refs)
-    for i, row in enumerate(ds.features):
-        expected, _ = geometry.nearest_reference("euclidean", row, refs.refs)
-        assert regions[i] == expected
+    picked = [0, 5, 9]
+    refs = finalize_references(ds, picked, "centroids", "euclidean", "random")
+    region = np.array([np.argmin(geometry.pairwise("euclidean", row[None], ds.features[picked]))
+                       for row in ds.features])
+    for j in range(len(picked)):
+        assert np.array_equal(refs.refs[j], ds.features[region == j].mean(axis=0))
 
 
 @pytest.mark.parametrize("sampler", ["random", "density", "fft", "kmeans"])

@@ -135,6 +135,26 @@ def class_id_out_of_range(doc):
     doc["inner"]["class_ids"][-1] = -1
 
 
+def setting(name, path, value):
+    """An edit that sets the field at ``path`` (a key/index sequence) to ``value``."""
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    edit.__name__ = name
+    return edit
+
+
+def knn_config_over_gnb(doc):
+    knn = {"neighbors": 3, "weighting": "uniform", "distance": "euclidean"}
+    doc["config"].update(classifier="knn", knn=knn)
+
+
+def gnb_config_over_knn(doc):
+    doc["config"].update(classifier="gnb", knn=None)
+
+
 BAD_MODELS = [
     ("knn", drop_sigmas, "kms_model document is missing field 'sigmas'"),
     ("knn", set_n_classes, "inner.n_classes 7 does not match the 2 label_names"),
@@ -146,6 +166,47 @@ BAD_MODELS = [
     ("gnb", drop_class_id, "inner.class_ids count does not match the inner.means rows"),
     ("knn", label_out_of_range, r"inner.labels outside \[0, 2\)"),
     ("gnb", class_id_out_of_range, r"inner.class_ids outside \[0, 2\)"),
+    # impossible numbers
+    ("gnb", setting("zero_variance", ("inner", "variances", 0, 1), 0.0),
+     "inner.variances must be finite and > 0"),
+    ("gnb", setting("negative_variance", ("inner", "variances", 1, 0), -1.0),
+     "inner.variances must be finite and > 0"),
+    ("gnb", setting("negative_prior", ("inner", "priors", 0), -1.0),
+     "inner.priors must be finite and > 0"),
+    ("gnb", setting("prior_above_one", ("inner", "priors", 1), 1.5), "inner.priors must be <= 1"),
+    ("gnb", setting("zero_scale", ("scaler", "scale", 0), 0.0),
+     "scaler.scale must be finite and > 0"),
+    ("knn", setting("infinite_scale", ("scaler", "scale", 1), float("inf")),
+     "scaler.scale must be finite and > 0"),
+    ("knn", setting("nan_offset", ("scaler", "offset", 0), float("nan")),
+     "scaler.offset must be finite"),
+    ("gnb", setting("nan_reference", ("references", "refs", 2, 0), float("nan")),
+     "references: refs must be finite"),
+    ("knn", setting("nan_sigma", ("references", "sigmas", 0), float("nan")),
+     "references: sigmas must be finite and strictly positive"),
+    ("knn", setting("infinite_feature", ("inner", "features", 0, 0), float("inf")),
+     "inner.features must be finite"),
+    ("gnb", setting("nan_mean", ("inner", "means", 1, 3), float("nan")),
+     "inner.means must be finite"),
+    ("gnb", setting("nan_prior", ("inner", "priors", 0), float("nan")),
+     "inner.priors must be finite and > 0"),
+    # fields repeated from the config that disagree with it
+    ("gnb", knn_config_over_gnb, "inner.kind 'gnb' does not match the config's 'knn'"),
+    ("knn", gnb_config_over_knn, "inner.kind 'knn' does not match the config's 'gnb'"),
+    ("gnb", setting("scaler_kind", ("scaler", "kind"), "minmax"),
+     "scaler.kind 'minmax' does not match the config's 'none'"),
+    ("knn", setting("kind_used", ("references", "kind_used"), "fft"),
+     "references.kind_used 'fft' does not match the config's 'random'"),
+    ("knn", setting("distance_used", ("references", "distance_used"), "angle"),
+     "references.distance_used 'angle' does not match the config's 'euclidean'"),
+    ("gnb", setting("ref_type", ("references", "ref_type"), "centroids"),
+     "references.ref_type 'centroids' does not match the config's 'centers'"),
+    ("knn", setting("neighbors", ("inner", "neighbors"), 5),
+     "inner.neighbors 5 does not match the config's 3"),
+    ("knn", setting("weighting", ("inner", "weighting"), "distance"),
+     "inner.weighting 'distance' does not match the config's 'uniform'"),
+    ("knn", setting("knn_distance", ("config", "knn", "distance"), "angle"),
+     "inner.distance 'euclidean' does not match the config's 'angle'"),
 ]
 
 
