@@ -88,15 +88,14 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     break toward the lower label id.
     """
     feats = np.asarray(queries, dtype=np.float64)
-    dists = geometry.pairwise(model.params.distance, feats, model.features)
-    k = min(model.params.neighbors, model.features.shape[0])
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    order, dists = geometry.nearest(model.params.distance, feats, model.features,
+                                    model.params.neighbors)
     rows = np.arange(feats.shape[0])[:, None]
     votes = model.labels[order]
     if model.params.weighting == "uniform":
         weights = np.ones_like(votes, dtype=np.float64)
     else:
-        weights = 1.0 / (_WEIGHT_EPS + dists[rows, order])
+        weights = 1.0 / (_WEIGHT_EPS + dists)
     scores = np.zeros((feats.shape[0], model.n_classes))
     np.add.at(scores, (np.broadcast_to(rows, votes.shape), votes), weights)
     return np.argmax(scores, axis=1).astype(np.int64)

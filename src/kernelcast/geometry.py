@@ -1,4 +1,4 @@
-"""Distance matrices between sets of row vectors.
+"""Distance matrices between sets of row vectors, and nearest neighbours.
 
 Shared by prototype sampling, kernel mapping, and the kNN classifier so that
 every component measures dissimilarity the same way.
@@ -13,6 +13,11 @@ DISTANCE_KINDS = ("euclidean", "angle")
 # Cap on elements materialized per broadcast block when computing exact
 # euclidean distances.  Keeps peak memory bounded for large query sets.
 _BLOCK_ELEMENTS = 1 << 22
+
+# Unit roundoff and smallest subnormal of float64, for the error bound that
+# sizes the euclidean shortlist in ``nearest``.
+_UNIT = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _check_kind(kind: str) -> None:
@@ -51,6 +56,14 @@ def _angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(cos)
 
 
+def _validated(kind: str, a, b) -> tuple[np.ndarray, np.ndarray]:
+    _check_kind(kind)
+    a, b = _as_matrix(a), _as_matrix(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
+
+
 def pairwise(kind: str, a, b) -> np.ndarray:
     """Distance matrix between the rows of ``a`` and the rows of ``b``.
 
@@ -65,10 +78,106 @@ def pairwise(kind: str, a, b) -> np.ndarray:
     -------
     (n, m) float matrix.
     """
-    _check_kind(kind)
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    a, b = _validated(kind, a, b)
     if kind == "euclidean":
         return _euclidean_matrix(a, b)
     return _angle_matrix(a, b)
+
+
+def _pack(keep: np.ndarray, dists: np.ndarray | None = None):
+    """Left-align the kept column ids of each row, and their ``dists``.
+
+    Each row holds its kept entries in column order, then padding up to the
+    fullest row's count: column id ``m`` (one past the last) and NaN.
+    """
+    m = keep.shape[1]
+    flat = np.flatnonzero(keep)
+    counts = keep.sum(axis=1)
+    slots = np.arange(counts.max(initial=0)) < counts[:, None]
+    cols = np.full(slots.shape, m)
+    cols[slots] = flat % m
+    if dists is None:
+        return cols, None
+    vals = np.full(slots.shape, np.nan)
+    vals[slots] = dists.ravel()[flat]
+    return cols, vals
+
+
+def _first_k(cols: np.ndarray, dists: np.ndarray, k: int):
+    """The k first packed candidates of each row by (distance, column id).
+
+    Padding holds NaN and sits at the end of its row, so the stable sort
+    puts it after every real entry, NaN included.
+    """
+    pick = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    rows = np.arange(dists.shape[0])[:, None]
+    return cols[rows, pick], dists[rows, pick]
+
+
+def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
+    # Gram squared distances |a|^2 + |b|^2 - 2a.b shortlist the candidates;
+    # only those are recomputed by the exact subtraction of
+    # _euclidean_matrix.  The Gram value and the exact sum of squared
+    # differences each lie within gamma_{d+2} (|a| + |b|)^2 of the true
+    # squared distance, plus a few subnormal units for underflow, whatever
+    # the summation order; ``bound``, taken with the block's largest |a|
+    # and the largest |b|, covers both with room for its own rounding.  So
+    # the k training rows at or below the k-th Gram value have exact
+    # squares of at most kth + bound, and a row whose Gram value exceeds
+    # ``cutoff`` has an exact square above that by a factor over 1 + 4u
+    # (u the unit roundoff): its correctly rounded square root is strictly
+    # larger than theirs, and it cannot be among the first k, ties by
+    # column included.
+    n, d = q.shape
+    m = t.shape[0]
+    # Padding cells point at an all-NaN row, so their distance is NaN.
+    padded = np.concatenate([t, np.full((1, d), np.nan)])
+    sq_t = np.einsum("ij,ij->i", t, t)
+    top = np.sqrt(sq_t.max())
+    gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
+    order = np.empty((n, k), dtype=np.intp)
+    dists = np.empty((n, k))
+    # A block's Gram-sized temporaries, and its gathered differences even
+    # when every column is kept, stay within _BLOCK_ELEMENTS.
+    step = max(1, _BLOCK_ELEMENTS // (m * (d + 8)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, step):
+            a = q[i:i + step]
+            sq_a = np.einsum("ij,ij->i", a, a)
+            gram = sq_a[:, None] + sq_t - 2.0 * (a @ t.T)
+            bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
+            kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+            cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
+            # NaN compares false: a block whose bound, or a row whose Gram
+            # values are not finite (inf/NaN input, overflowing norms),
+            # keeps every column.
+            cols, _ = _pack(~(gram > cutoff[:, None]))
+            diff = a[:, None, :] - padded[cols]
+            exact = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            order[i:i + step], dists[i:i + step] = _first_k(cols, exact, k)
+    return order, dists
+
+
+def nearest(kind: str, queries, train, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest training rows of each query row, nearest first.
+
+    Returns ``(order, dists)``: ``order`` equals
+    ``np.argsort(pairwise(kind, queries, train), axis=1, kind="stable")[:, :k]``
+    (rank ties go to the lower training-row index; ``k`` above the training
+    size yields every row) and ``dists`` holds the ``pairwise`` values at
+    those positions, bit for bit.  Neither the full distance matrix nor a
+    full sort is needed: euclidean distances are computed exactly only for
+    a shortlist sized by a floating-point error bound, and angle distances
+    keep every entry up to the k-th smallest before sorting.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    q, t = _validated(kind, queries, train)
+    k = min(k, t.shape[0])
+    if kind == "euclidean":
+        return _nearest_euclidean(q, t, k)
+    dists = pairwise(kind, q, t)
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+    # Every entry up to the k-th value, so ties at it are complete.
+    cols, vals = _pack(~(dists > kth[:, None]), dists)
+    return _first_k(cols, vals, k)

@@ -51,9 +51,12 @@ def scaler_to_doc(spec: ScalerSpec) -> dict:
 
 
 def scaler_from_doc(doc: dict) -> ScalerSpec:
+    active = doc["active"]
+    if not isinstance(active, list) or not all(isinstance(x, bool) for x in active):
+        raise FormatError("scaler.active must be a list of true/false values")
     return ScalerSpec(doc["kind"], np.asarray(doc["offset"], dtype=np.float64),
                       np.asarray(doc["scale"], dtype=np.float64),
-                      np.asarray(doc["active"], dtype=bool))
+                      np.asarray(active, dtype=bool))
 
 
 def refs_to_doc(refs: ReferenceSet) -> dict:
@@ -158,6 +161,10 @@ def _check_model(model: KmsModel) -> None:
         raise FormatError(f"inner.{ids_field} count does not match the inner.{matrix_field} rows")
     if ids.size and (ids.min() < 0 or ids.max() >= n_classes):
         raise FormatError(f"inner.{ids_field} outside [0, {n_classes})")
+    if not knn and inner.priors.shape != ids.shape:
+        raise FormatError("inner.priors count does not match the inner.class_ids count")
+    if not knn and inner.variances.shape != matrix.shape:
+        raise FormatError("inner.variances shape does not match the inner.means shape")
     # (field, values, bound): every value must be finite and above the bound
     checks = [("scaler.offset", spec.offset, -np.inf), ("scaler.scale", spec.scale, 0.0),
               (f"inner.{matrix_field}", matrix, -np.inf)]

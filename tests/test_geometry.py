@@ -122,3 +122,104 @@ def test_nearest_reference_tie_lowest_index():
     # [0, 0] is equidistant from both references and joins the first
     refs = voronoi_centroids([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], [0, 1])
     assert np.array_equal(refs, [[0.5, 0.0], [-1.0, 0.0]])
+
+
+# ------------------------------------------------------------------ nearest
+
+def assert_nearest_is_stable_argsort_prefix(kind, queries, train, k):
+    order, dists = geometry.nearest(kind, queries, train, k)
+    full = geometry.pairwise(kind, queries, train)
+    want = np.argsort(full, axis=1, kind="stable")[:, :k]
+    assert order.shape == want.shape and np.array_equal(order, want)
+    want_dists = np.take_along_axis(full, want, axis=1)
+    assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))
+
+
+def gaussian_rows(rng, n, m, d):
+    return rng.normal(size=(n, d)), rng.normal(size=(m, d))
+
+
+def duplicate_rows(rng, n, m, d):
+    train = rng.normal(size=(m, d))
+    train = train[rng.integers(0, m, size=m)]
+    return np.vstack([train[:n], rng.normal(size=(n, d))])[:n], train
+
+
+def lattice_rows(rng, n, m, d):
+    # small integer coordinates: many exact ties, also at the k-th distance
+    return (rng.integers(-2, 3, size=(n, d)).astype(float),
+            rng.integers(-2, 3, size=(m, d)).astype(float))
+
+
+def zero_rows(rng, n, m, d):
+    queries, train = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    queries[rng.random(n) < 0.4] = 0.0
+    train[rng.random(m) < 0.4] = 0.0
+    return queries, train
+
+
+def offset_rows(rng, n, m, d):
+    # |a|^2 + |b|^2 - 2ab cancels almost every digit here
+    return 1e6 + 1e-3 * rng.normal(size=(n, d)), 1e6 + 1e-3 * rng.normal(size=(m, d))
+
+
+def huge_rows(rng, n, m, d):
+    # squared norms overflow to inf
+    return 1e160 * rng.normal(size=(n, d)), 1e160 * rng.normal(size=(m, d))
+
+
+def near_overflow_rows(rng, n, m, d):
+    # squared norms stay finite, (|a| + |b|)^2 does not
+    queries, train = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    unit = lambda x: x / np.linalg.norm(x, axis=1, keepdims=True)
+    return 1.2e154 * unit(queries), 1.2e154 * unit(train)
+
+
+NEAREST_INPUTS = [gaussian_rows, duplicate_rows, lattice_rows, zero_rows, offset_rows,
+                  huge_rows, near_overflow_rows]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("make", NEAREST_INPUTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_nearest_equals_stable_argsort_prefix(kind, make):
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        n, m, d = (int(x) for x in rng.integers(1, [20, 40, 10]))
+        queries, train = make(rng, n, m, d)
+        for k in {1, m // 2 + 1, m, m + 3}:
+            assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
+
+
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_nearest_single_training_row_and_single_query(kind):
+    rng = np.random.default_rng(10)
+    assert_nearest_is_stable_argsort_prefix(kind, rng.normal(size=(7, 3)),
+                                            rng.normal(size=(1, 3)), 5)
+    assert_nearest_is_stable_argsort_prefix(kind, rng.normal(size=(1, 3)),
+                                            rng.normal(size=(30, 3)), 4)
+
+
+def test_nearest_breaks_ties_at_kth_distance_by_index():
+    train = np.array([[3.0], [1.0], [-1.0], [0.0], [1.0], [-1.0]])
+    order, dists = geometry.nearest("euclidean", np.array([[0.0]]), train, 3)
+    assert order.tolist() == [[3, 1, 2]] and dists.tolist() == [[0.0, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_nearest_over_several_query_blocks(kind):
+    # more query rows than one euclidean block holds at this width
+    rng = np.random.default_rng(11)
+    train = rng.random((400, 16))
+    queries = np.vstack([rng.random((1200, 16)), train[:50]])
+    for k in (1, 21):
+        assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
+
+
+def test_nearest_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        geometry.nearest("euclidean", np.ones((2, 3)), np.ones((2, 3)), 0)
+    with pytest.raises(ValueError):
+        geometry.nearest("euclidean", np.ones((2, 3)), np.ones((2, 4)), 1)
+    with pytest.raises(ValueError):
+        geometry.nearest("manhattan", np.ones((2, 3)), np.ones((2, 3)), 1)

@@ -135,6 +135,14 @@ def class_id_out_of_range(doc):
     doc["inner"]["class_ids"][-1] = -1
 
 
+def drop_prior(doc):
+    doc["inner"]["priors"].pop()
+
+
+def drop_variance_row(doc):
+    doc["inner"]["variances"].pop()
+
+
 def setting(name, path, value):
     """An edit that sets the field at ``path`` (a key/index sequence) to ``value``."""
     def edit(doc):
@@ -166,6 +174,12 @@ BAD_MODELS = [
     ("gnb", drop_class_id, "inner.class_ids count does not match the inner.means rows"),
     ("knn", label_out_of_range, r"inner.labels outside \[0, 2\)"),
     ("gnb", class_id_out_of_range, r"inner.class_ids outside \[0, 2\)"),
+    ("gnb", drop_prior, "inner.priors count does not match the inner.class_ids count"),
+    ("gnb", drop_variance_row, "inner.variances shape does not match the inner.means shape"),
+    ("knn", setting("string_active", ("scaler", "active", 0), "no"),
+     "scaler.active must be a list of true/false values"),
+    ("gnb", setting("numeric_active", ("scaler", "active", 1), 0),
+     "scaler.active must be a list of true/false values"),
     # impossible numbers
     ("gnb", setting("zero_variance", ("inner", "variances", 0, 1), 0.0),
      "inner.variances must be finite and > 0"),
