@@ -133,8 +133,8 @@ def cmd_predict(args) -> int:
         features = load_feature_csv(args.data, has_header=args.has_header)
     predicted = _predict(model, features)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for label_id in predicted:
-            fh.write(names[int(label_id)] + "\n")
+        lines = [name + "\n" for name in names]
+        fh.write("".join([lines[i] for i in predicted.tolist()]))
     if args.dump_mapped is not None:
         mapped = map_matrix(model.scaler.transform(features), model.refs, model.config.kernel)
         np.savetxt(args.dump_mapped, mapped, delimiter=",")

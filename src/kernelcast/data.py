@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -122,33 +123,58 @@ def _resolve_column(label_column, header: list[str] | None, width: int) -> int:
     return idx
 
 
-def _parse_cell(cell: str, line: int, column: int) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"cannot parse {cell!r} as a number at line {line}, column {column}") from None
-    if not np.isfinite(value):
-        raise DataError(f"non-finite value {cell!r} at line {line}, column {column}")
-    return value
+_BLOCK_ROWS = 256  # rows per np.array call; bounds the label-free copy of a block
+
+
+def _raise_first_bad(path, rows: list[list[str]], lines: list[int], width: int,
+                     label_idx: int | None) -> NoReturn:
+    """Raise the DataError for the first ragged row or bad cell, in file order.
+
+    Only a block that failed to convert gets here; finding nothing there is a bug.
+    """
+    for row, line in zip(rows, lines):
+        if len(row) != width:
+            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            if j == label_idx:
+                continue
+            cell = cell.strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"cannot parse {cell!r} as a number at line {line}, column {j + 1}") from None
+            if not np.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} at line {line}, column {j + 1}")
+    raise RuntimeError(f"{path}: rows from line {lines[0]} failed to convert but hold no bad cell")
 
 
 def _parse_rows(path, rows: list[list[str]], lines: list[int],
                 label_idx: int | None = None) -> tuple[np.ndarray, list[str]]:
-    """Parse equal-width rows into a feature matrix, keeping column ``label_idx`` as text."""
+    """Parse equal-width rows into a feature matrix, keeping column ``label_idx`` as text.
+
+    Each cell is read as ``float(cell.strip())`` and must be finite.
+    """
     width = len(rows[0])
     features = np.empty((len(rows), width - (label_idx is not None)), dtype=np.float64)
     raw_labels: list[str] = []
-    for i, row in enumerate(rows):
-        line = lines[i]
-        if len(row) != width:
-            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                raw_labels.append(cell.strip())
-                continue
-            features[i, k] = _parse_cell(cell.strip(), line, j + 1)
-            k += 1
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        cells = rows[start:stop]
+        try:
+            if set(map(len, cells)) != {width}:
+                raise ValueError("ragged row")
+            if label_idx is not None:
+                raw_labels += [row[label_idx].strip() for row in cells]
+                cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
+            try:
+                values = np.array(cells, dtype=np.float64)  # float() on each str
+            except ValueError:  # float() keeps the U+001C..U+001F that str.strip() drops
+                values = np.array([[cell.strip() for cell in row] for row in cells], dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite value")
+        except ValueError:
+            _raise_first_bad(path, rows[start:stop], lines[start:stop], width, label_idx)
+        features[start:stop] = values
     return features, raw_labels
 
 

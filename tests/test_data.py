@@ -1,3 +1,6 @@
+import csv
+import io
+import math
 import os
 
 import numpy as np
@@ -269,3 +272,152 @@ def test_scaler_width_mismatch_rejected():
     spec = fit_scaler("standardize", ds)
     with pytest.raises(DataError):
         spec.transform(np.ones((2, 5)))
+
+
+# --- Block conversion of CSV cells --------------------------------------------
+
+def oracle_parse(path, text, label_idx, has_header):
+    """Reference reader: per-cell ``float(cell.strip())`` plus the finite check."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(row, reader.line_num) for row in reader if row]
+    if has_header:
+        rows = rows[1:]
+    width = len(rows[0][0])
+    features, labels = [], []
+    for row, line in rows:
+        if len(row) != width:
+            raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
+        values = []
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if j == label_idx:
+                labels.append(cell)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"cannot parse {cell!r} as a number at line {line}, column {j + 1}") from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {cell!r} at line {line}, column {j + 1}")
+            values.append(value)
+        features.append(values)
+    return np.array(features, dtype=np.float64), labels
+
+
+GOOD_CELLS = [" 1.5 ", "\t2\t", "1_0", "١٢", "１２", "-0", "+.5", "1e-400",
+              '"2.5"', "\x1c3\x1f", " 4", "-1E3"]
+BAD_CELLS = ["1e400", "nan", "inf", "-inf", "NaN", "0x10", "", '"1,5"', "1__0", "x", "\u200b5"]
+
+
+def random_cell(rng, bad_rate):
+    if rng.random() < bad_rate:
+        return BAD_CELLS[rng.integers(len(BAD_CELLS))]
+    if rng.random() < 0.5:
+        return GOOD_CELLS[rng.integers(len(GOOD_CELLS))]
+    return repr(float(rng.normal() * 10.0 ** rng.integers(-8, 9)))
+
+
+def random_csv(rng, labeled, has_header):
+    """CSV text with tricky cells, blank lines and the odd ragged row; and its label column."""
+    width = int(rng.integers(2, 6))
+    label_idx = int(rng.integers(width)) if labeled else None
+    bad_rate = [0.0, 0.0, 0.01, 0.05][rng.integers(4)]
+    lines = [",".join(f"c{j}" for j in range(width))] if has_header else []
+    for i in range(int(rng.integers(2, 14))):
+        cells = [random_cell(rng, bad_rate) for _ in range(width)]
+        if label_idx is not None:
+            cells[label_idx] = [" a", "b "][i % 2]
+        if rng.random() < bad_rate:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(",".join(cells))
+        if rng.random() < 0.1:
+            lines.append("")
+    return "\n".join(lines) + "\n", label_idx
+
+
+@pytest.mark.parametrize("block_rows", [3, data._BLOCK_ROWS])
+@pytest.mark.parametrize("labeled", [True, False], ids=["load_csv", "load_feature_csv"])
+def test_fuzz_matches_per_cell_float(tmp_path, monkeypatch, block_rows, labeled):
+    monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(20261018 + block_rows + labeled)
+    outcomes = set()
+    for case in range(300):
+        has_header = bool(rng.integers(2))
+        text, label_idx = random_csv(rng, labeled, has_header)
+        path = write(tmp_path, text, name=f"fuzz{case}.csv")
+        try:
+            expected = oracle_parse(path, text, label_idx, has_header)
+        except DataError as exc:
+            expected = exc
+        try:
+            if labeled:
+                column = f"c{label_idx}" if has_header and case % 2 else label_idx
+                ds = load_csv(path, label_column=column, has_header=has_header)
+                got = ds.features, [ds.label_names[i] for i in ds.labels]
+            else:
+                got = data.load_feature_csv(path, has_header=has_header), []
+        except DataError as exc:
+            got = exc
+        if isinstance(expected, DataError):
+            assert isinstance(got, DataError), (text, expected)
+            assert str(got) == str(expected), text
+            outcomes.add("rejected")
+        else:
+            assert not isinstance(got, DataError), (text, got)
+            assert got[0].shape == expected[0].shape, text
+            assert np.array_equal(got[0].view(np.int64), expected[0].view(np.int64)), text
+            assert got[1] == expected[1], text
+            outcomes.add("parsed")
+    assert outcomes == {"parsed", "rejected"}
+
+
+def block_file(tmp_path, n_rows, replace=None):
+    """n_rows labeled rows '<i>,<i/4>,<a|b>'; ``replace`` maps row index to its text."""
+    lines = [f"{i},{i / 4},{'ab'[i % 2]}" for i in range(n_rows)]
+    for i, text in (replace or {}).items():
+        lines[i] = text
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("row_text,message", [
+    ("1,oops,a", "cannot parse 'oops' as a number at line {line}, column 2"),
+    ("NaN,2,b", "non-finite value 'NaN' at line {line}, column 1"),
+    ("1,a", "line {line} has 2 cells, expected 3"),
+], ids=["bad-cell", "nan", "ragged-row"])
+def test_error_after_first_block_names_physical_line(tmp_path, row_text, message):
+    index = data._BLOCK_ROWS + 37
+    path = block_file(tmp_path, 2 * data._BLOCK_ROWS + 5, {index: row_text})
+    with pytest.raises(DataError, match=message.format(line=index + 1)):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("first", [5, data._BLOCK_ROWS + 5], ids=["first-block", "second-block"])
+def test_bad_cell_before_ragged_row_in_the_same_block_wins(tmp_path, first):
+    path = block_file(tmp_path, 2 * data._BLOCK_ROWS, {first: "1,x,a", first + 3: "1,2"})
+    with pytest.raises(DataError, match=f"'x' as a number at line {first + 1}, column 2"):
+        load_csv(path)
+    path = block_file(tmp_path, 2 * data._BLOCK_ROWS, {first: "1,2", first + 3: "1,x,a"})
+    with pytest.raises(DataError, match=f"line {first + 1} has 2 cells"):
+        load_csv(path)
+
+
+def test_middle_label_column_by_name_across_blocks(tmp_path):
+    n = data._BLOCK_ROWS + 100
+    rows = [f"{i},{'ab'[i % 3 == 0]},{-i / 8}" for i in range(n)]
+    path = write(tmp_path, "x,species,y\n" + "\n".join(rows) + "\n")
+    ds = load_csv(path, label_column="species", has_header=True)
+    expected = np.column_stack([np.arange(n, dtype=np.float64), -np.arange(n) / 8])
+    assert np.array_equal(ds.features.view(np.int64), expected.view(np.int64))
+    assert ds.label_names == ["b", "a"]
+    assert ds.labels.tolist() == [int(i % 3 != 0) for i in range(n)]
+
+
+def test_separator_padded_cells_parse_as_stripped(tmp_path):
+    # str.strip() removes U+001C..U+001F; float() alone rejects them.
+    path = write(tmp_path, "\x1c1,2\x1f,a\n3,\x1d4\x1e,b\n")
+    assert load_csv(path).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_error_walker_without_a_bad_cell_is_not_a_data_error():
+    with pytest.raises(RuntimeError, match="no bad cell"):
+        data._raise_first_bad("f.csv", [["1", "2", "a"]], [1], 3, 2)
