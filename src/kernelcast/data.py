@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import NoReturn
+from itertools import islice
 
 import numpy as np
 
@@ -87,23 +87,9 @@ def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[
     return ids, names
 
 
-def _read_rows(path, has_header: bool) -> tuple[list[str] | None, list[list[str]], list[int]]:
-    """Header, non-empty rows, and the file line each of those rows ends on."""
-    rows, lines = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if has_header:
-        if not rows:
-            raise DataError(f"{path}: empty file")
-        return rows[0], rows[1:], lines[1:]
-    return None, rows, lines
-
-
-def _resolve_column(label_column, header: list[str] | None, width: int) -> int:
+def _resolve_column(path, label_column, header: list[str] | None, width: int) -> int:
+    if width < 2:
+        raise DataError(f"{path}: need at least one feature column plus the label column")
     if isinstance(label_column, str):
         try:
             label_column = int(label_column)
@@ -123,16 +109,17 @@ def _resolve_column(label_column, header: list[str] | None, width: int) -> int:
     return idx
 
 
-_BLOCK_ROWS = 256  # rows per np.array call; bounds the label-free copy of a block
+_BLOCK_ROWS = 256  # rows per np.array call; bounds the row text held at once
 
 
-def _raise_first_bad(path, rows: list[list[str]], lines: list[int], width: int,
-                     label_idx: int | None) -> NoReturn:
-    """Raise the DataError for the first ragged row or bad cell, in file order.
+def _walk_block(path, block, width: int, label_idx: int | None) -> np.ndarray:
+    """Per-cell ``float(cell.strip())`` over a block that failed to convert in one call.
 
-    Only a block that failed to convert gets here; finding nothing there is a bug.
+    Raises for the block's first ragged row or bad cell; a block holding neither has
+    cells padded with U+001C..U+001F, which ``str.strip()`` drops and ``float()`` keeps.
     """
-    for row, line in zip(rows, lines):
+    values = []
+    for row, line in block:
         if len(row) != width:
             raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
@@ -145,37 +132,48 @@ def _raise_first_bad(path, rows: list[list[str]], lines: list[int], width: int,
                 raise DataError(f"cannot parse {cell!r} as a number at line {line}, column {j + 1}") from None
             if not np.isfinite(value):
                 raise DataError(f"non-finite value {cell!r} at line {line}, column {j + 1}")
-    raise RuntimeError(f"{path}: rows from line {lines[0]} failed to convert but hold no bad cell")
+            values.append(value)
+    return np.reshape(values, (len(block), -1))
 
 
-def _parse_rows(path, rows: list[list[str]], lines: list[int],
-                label_idx: int | None = None) -> tuple[np.ndarray, list[str]]:
-    """Parse equal-width rows into a feature matrix, keeping column ``label_idx`` as text.
+def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, list[str]]:
+    """Feature matrix and stripped label cells of a CSV file, read in one pass.
 
-    Each cell is read as ``float(cell.strip())`` and must be finite.
+    With ``label_column`` None every column is a feature.  Blank rows are skipped.
     """
-    width = len(rows[0])
-    features = np.empty((len(rows), width - (label_idx is not None)), dtype=np.float64)
-    raw_labels: list[str] = []
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        cells = rows[start:stop]
-        try:
-            if set(map(len, cells)) != {width}:
-                raise ValueError("ragged row")
-            if label_idx is not None:
-                raw_labels += [row[label_idx].strip() for row in cells]
-                cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
-            try:
-                values = np.array(cells, dtype=np.float64)  # float() on each str
-            except ValueError:  # float() keeps the U+001C..U+001F that str.strip() drops
-                values = np.array([[cell.strip() for cell in row] for row in cells], dtype=np.float64)
-            if not np.isfinite(values).all():
-                raise ValueError("non-finite value")
-        except ValueError:
-            _raise_first_bad(path, rows[start:stop], lines[start:stop], width, label_idx)
-        features[start:stop] = values
-    return features, raw_labels
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = ((row, reader.line_num) for row in reader if row)
+            header = next(rows, [None])[0] if has_header else None
+            block = list(islice(rows, _BLOCK_ROWS))
+            if (has_header and header is None) or (not block and label_column is None):
+                raise DataError(f"{path}: empty file")
+            if label_column is not None and len(block) < 2:
+                raise DataError(f"{path}: need at least 2 data rows, found {len(block)}")
+            width = len(block[0][0])
+            label_idx = None if label_column is None else _resolve_column(path, label_column, header, width)
+            chunks, raw_labels = [], []
+            while block:
+                cells = [row for row, _ in block]
+                try:
+                    if set(map(len, cells)) != {width}:
+                        raise ValueError("ragged row")
+                    if label_idx is not None:
+                        raw_labels += [row[label_idx].strip() for row in cells]
+                        cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
+                    values = np.array(cells, dtype=np.float64)  # float() on each str
+                    if not np.isfinite(values).all():
+                        raise ValueError("non-finite value")
+                except ValueError:
+                    values = _walk_block(path, block, width, label_idx)
+                chunks.append(values)
+                block = list(islice(rows, _BLOCK_ROWS))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    return np.concatenate(chunks), raw_labels
 
 
 def load_csv(path, label_column=-1, has_header: bool = False,
@@ -192,14 +190,7 @@ def load_csv(path, label_column=-1, has_header: bool = False,
         and unseen labels are an error.  Otherwise ids follow first appearance
         and the file must contain at least two classes.
     """
-    header, rows, lines = _read_rows(path, has_header)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    width = len(rows[0])
-    if width < 2:
-        raise DataError(f"{path}: need at least one feature column plus the label column")
-    label_idx = _resolve_column(label_column, header, width)
-    features, raw_labels = _parse_rows(path, rows, lines, label_idx)
+    features, raw_labels = _read_csv(path, has_header, label_column)
     labels, names = encode_labels(raw_labels, vocabulary)
     if vocabulary is None and len(names) < 2:
         raise DataError(f"{path}: need at least 2 classes, found {len(names)}")
@@ -208,10 +199,7 @@ def load_csv(path, label_column=-1, has_header: bool = False,
 
 def load_feature_csv(path, has_header: bool = False) -> np.ndarray:
     """Load an unlabeled feature matrix from CSV (every column is a feature)."""
-    _, rows, lines = _read_rows(path, has_header)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return _parse_rows(path, rows, lines)[0]
+    return _read_csv(path, has_header)[0]
 
 
 def _round_half_up(x: float) -> int:

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +420,69 @@ def test_separator_padded_cells_parse_as_stripped(tmp_path):
     assert load_csv(path).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def test_error_walker_without_a_bad_cell_is_not_a_data_error():
-    with pytest.raises(RuntimeError, match="no bad cell"):
-        data._raise_first_bad("f.csv", [["1", "2", "a"]], [1], 3, 2)
+
+# --- Checks on the first block, in the order they run ------------------------
+
+@pytest.mark.parametrize("text,has_header,label_column,message", [
+    ("", False, -1, "need at least 2 data rows, found 0"),
+    ("", True, -1, "empty file"),
+    ("", False, None, "empty file"),
+    ("x,y,c\n", True, -1, "need at least 2 data rows, found 0"),
+    ("x,y\n", True, None, "empty file"),
+    ("\n\n\n", False, -1, "need at least 2 data rows, found 0"),
+    ("\n\n\n", True, None, "empty file"),
+    ("a\n", False, 5, "need at least 2 data rows, found 1"),
+    ("a\nb\n", False, 5, "need at least one feature column plus the label column"),
+    ("1,a\n2,b\n", False, "species", "given by name but the file has no header"),
+], ids=["empty", "empty-header", "empty-features", "header-only", "header-only-features",
+        "blank-lines", "blank-lines-features", "one-row", "one-column", "name-without-header"])
+def test_first_block_errors_in_order(tmp_path, text, has_header, label_column, message):
+    path = write(tmp_path, text)
+    with pytest.raises(DataError, match=message):
+        if label_column is None:
+            data.load_feature_csv(path, has_header=has_header)
+        else:
+            load_csv(path, label_column=label_column, has_header=has_header)
+
+
+def test_feature_csv_takes_one_row_of_one_column(tmp_path):
+    assert data.load_feature_csv(write(tmp_path, "\n7\n")).tolist() == [[7.0]]
+
+
+def test_bad_cell_in_a_later_block_wins_over_an_unknown_label(tmp_path):
+    index = data._BLOCK_ROWS + 5
+    path = block_file(tmp_path, 2 * data._BLOCK_ROWS, {3: "1,2,zzz", index: "1,x,a"})
+    with pytest.raises(DataError, match=f"'x' as a number at line {index + 1}, column 2"):
+        load_csv(path, vocabulary=["a", "b"])
+
+
+@pytest.mark.parametrize("loader", [load_csv, data.load_feature_csv], ids=["load_csv", "load_feature_csv"])
+def test_tokenizer_error_names_file_and_line(tmp_path, loader):
+    path = write(tmp_path, "1,2,a\n3," + "4" * 140_000 + ",b\n5,6,a\n")
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: line 2: field larger than field limit"):
+        loader(path)
+
+
+@pytest.mark.parametrize("loader", [load_csv, data.load_feature_csv], ids=["load_csv", "load_feature_csv"])
+def test_non_utf8_byte_names_file(tmp_path, loader):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2,a\n3,\xff,b\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: byte 0xff is not valid UTF-8"):
+        loader(str(path))
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["load_csv", "load_feature_csv"])
+def test_peak_memory_stays_near_the_matrix(tmp_path, labeled):
+    # The file is read block by block; no copy of its whole text is held.
+    matrix = np.random.default_rng(7).normal(size=(20_000, 10))
+    rows = [",".join(map(repr, row)) + [",a", ",b"][i % 2] * labeled for i, row in enumerate(matrix.tolist())]
+    path = write(tmp_path, "\n".join(rows) + "\n")
+    del rows
+    tracemalloc.start()
+    try:
+        got = load_csv(path).features if labeled else data.load_feature_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, matrix)
+    assert peak < 4 * got.nbytes, peak / got.nbytes
