@@ -8,8 +8,8 @@ ensembles, and a benchmark CLI.
 """
 
 from .classify import KnnParams
-from .data import (Dataset, FoldPlan, ScalerSpec, apply_scaler, fit_scaler,
-                   load_csv, make_folds, split_fold, stratified_split)
+from .data import (Dataset, ScalerSpec, apply_scaler, fit_scaler, load_csv,
+                   make_folds, split_fold, stratified_split)
 from .ensemble import (ConsensusCurve, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
 from .geometry import pairwise
@@ -24,9 +24,9 @@ from .sampling import (ReferenceSet, finalize_references, make_reference_set,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "FoldPlan",
-    "KmsModel", "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport",
-    "apply_scaler", "balanced_error_rate", "build_ensemble", "consensus_curve",
+    "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "KmsModel",
+    "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "apply_scaler",
+    "balanced_error_rate", "build_ensemble", "consensus_curve",
     "ensemble_predict", "enumerate_grid", "evaluate_config",
     "finalize_references", "fit_scaler", "grid_search", "kms_fit",
     "kms_predict", "load_csv", "make_folds", "make_reference_set",

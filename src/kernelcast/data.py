@@ -142,7 +142,7 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
     With ``label_column`` None every column is a feature.  Blank rows are skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = ((row, reader.line_num) for row in reader if row)
             header = next(rows, [None])[0] if has_header else None
@@ -233,30 +233,18 @@ def stratified_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     return ds.subset(train), ds.subset(test)
 
 
-@dataclass
-class FoldPlan:
-    """Cross-validation fold assignment: fold_of[i] is the fold of row i."""
-
-    fold_count: int
-    fold_of: np.ndarray
-
-    def __post_init__(self):
-        self.fold_of = np.asarray(self.fold_of, dtype=np.int64)
-        if self.fold_count < 2:
-            raise DataError("fold_count must be at least 2")
-        present = np.unique(self.fold_of)
-        if present.size != self.fold_count or present[0] != 0 or present[-1] != self.fold_count - 1:
-            raise DataError("every fold index in [0, fold_count) must appear at least once")
-
-
-def make_folds(ds: Dataset, fold_count: int, seed: int) -> FoldPlan:
+def make_folds(ds: Dataset, fold_count: int, seed: int) -> np.ndarray:
     """Assign rows to stratified CV folds, deterministically per seed.
 
-    Every class must have at least ``fold_count`` samples so that each fold
-    sees each class.
+    Returns ``fold_of``, an int64 array holding the fold of each row.  Every
+    class must have at least ``fold_count`` samples so that each fold sees
+    each class; so every fold is non-empty and ``fold_of.max() + 1`` is the
+    fold count.
     """
     if fold_count < 2:
         raise DataError("fold_count must be at least 2")
+    if ds.n == 0:
+        raise DataError("cannot make folds of an empty dataset")
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     for c, count in enumerate(counts):
         if 0 < count < fold_count:
@@ -271,14 +259,14 @@ def make_folds(ds: Dataset, fold_count: int, seed: int) -> FoldPlan:
         # Rotate the dealing start per class so remainders spread over folds.
         start = c % fold_count
         fold_of[perm] = (start + np.arange(perm.size)) % fold_count
-    return FoldPlan(fold_count, fold_of)
+    return fold_of
 
 
-def split_fold(ds: Dataset, folds: FoldPlan, fold: int) -> tuple[Dataset, Dataset]:
-    """Return (train, held-out) datasets for one fold of a plan."""
-    if not 0 <= fold < folds.fold_count:
+def split_fold(ds: Dataset, fold_of: np.ndarray, fold: int) -> tuple[Dataset, Dataset]:
+    """Return (train, held-out) datasets for one fold of a ``make_folds`` array."""
+    if not 0 <= fold <= fold_of.max():
         raise DataError(f"fold {fold} out of range")
-    mask = folds.fold_of == fold
+    mask = fold_of == fold
     return ds.subset(np.flatnonzero(~mask)), ds.subset(np.flatnonzero(mask))
 
 

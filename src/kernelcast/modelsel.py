@@ -20,8 +20,8 @@ import numpy as np
 from . import parallel, rand
 from .classify import (GnbModel, KnnModel, KnnParams, gnb_fit, gnb_predict,
                        knn_fit, knn_predict)
-from .data import (SCALER_KINDS, Dataset, FoldPlan, ScalerSpec, apply_scaler,
-                   fit_scaler, make_folds, split_fold)
+from .data import (SCALER_KINDS, Dataset, ScalerSpec, apply_scaler, fit_scaler,
+                   make_folds, split_fold)
 from .geometry import DISTANCE_KINDS
 from .kernelmap import KERNEL_KINDS, map_dataset, map_matrix
 from .sampling import REF_TYPES, SAMPLER_KINDS, make_reference_set
@@ -189,17 +189,18 @@ def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
     return gnb_predict(model.inner, mapped)
 
 
-def evaluate_config(cfg: Configuration, ds: Dataset, folds: FoldPlan, seed: int) -> float:
+def evaluate_config(cfg: Configuration, ds: Dataset, fold_of: np.ndarray, seed: int) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
-    Each fold fits on the remaining folds only and scores on the held-out
-    rows; the per-fold RNG derives from (seed, configuration, fold) so
-    results do not depend on evaluation order.  Fit errors propagate.
+    ``fold_of`` is a ``make_folds`` array.  Each fold fits on the remaining
+    folds only and scores on the held-out rows; the per-fold RNG derives from
+    (seed, configuration, fold) so results do not depend on evaluation order.
+    Fit errors propagate.
     """
     digest = config_digest(cfg)
     bers = []
-    for fold in range(folds.fold_count):
-        train, held_out = split_fold(ds, folds, fold)
+    for fold in range(int(fold_of.max()) + 1):
+        train, held_out = split_fold(ds, fold_of, fold)
         fitted = fit_pipeline(cfg, train, rand.seed_from(seed, rand.FOLD_EVAL, digest, fold))
         predicted = pipeline_predict(fitted, held_out.features)
         bers.append(balanced_error_rate(held_out.labels, predicted, ds.n_classes))
@@ -224,12 +225,15 @@ class SearchReport:
     entries: list[EvalOutcome]
     best_index: int
     master_seed: int
-    fold_count: int
     scaler: str
     mode: str
     sampler_filter: str | None
     data_shape: tuple[int, int, int]
     fold_of: np.ndarray
+
+    @property
+    def fold_count(self) -> int:
+        return int(self.fold_of.max()) + 1
 
     @property
     def best(self) -> EvalOutcome:
@@ -247,12 +251,12 @@ def best_entry_index(entries: list[EvalOutcome]) -> int:
 def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed: int,
                 scaler: str, mode: str, sampler_filter: str | None,
                 threads: int | None) -> SearchReport:
-    folds = make_folds(ds, fold_count, seed)
+    fold_of = make_folds(ds, fold_count, seed)
 
     def evaluate(cfg: Configuration) -> EvalOutcome:
         started = time.perf_counter()
         try:
-            ber = evaluate_config(cfg, ds, folds, seed)
+            ber = evaluate_config(cfg, ds, fold_of, seed)
             error = None
         except ValueError as exc:  # domain errors only; anything else is a bug and propagates
             ber = math.inf
@@ -261,8 +265,8 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
 
     entries = parallel.map_indexed(evaluate, configs, threads)
     best = best_entry_index(entries)
-    return SearchReport(entries, best, seed, fold_count, scaler, mode, sampler_filter,
-                        (ds.n, ds.dim, ds.n_classes), folds.fold_of)
+    return SearchReport(entries, best, seed, scaler, mode, sampler_filter,
+                        (ds.n, ds.dim, ds.n_classes), fold_of)
 
 
 def _candidate_grid(scaler: str, sampler_filter: str | None) -> list[Configuration]:

@@ -96,7 +96,7 @@ def _kmeanspp_seed(features: np.ndarray, k: int, rng: np.random.Generator) -> np
             nxt = int(remaining[rng.integers(remaining.size)])
         chosen.append(nxt)
         d2 = np.minimum(d2, np.square(features - features[nxt]).sum(axis=1))
-    return features[chosen].astype(np.float64).copy()
+    return features[chosen]
 
 
 def lloyd(features: np.ndarray, k: int,
@@ -119,19 +119,15 @@ def lloyd(features: np.ndarray, k: int,
         history.append(float(np.square(dists[np.arange(len(features)), assign]).sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
-        new = centroids.copy()
+        new = _region_means(features, assign, centroids)
         used_far: list[int] = []
-        for j in range(k):
-            members = features[assign == j]
-            if members.shape[0]:
-                new[j] = members.mean(axis=0)
-            else:
-                column = dists[:, j].copy()
-                if used_far:
-                    column[used_far] = -1.0
-                far = int(np.argmax(column))
-                used_far.append(far)
-                new[j] = features[far]
+        for j in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+            column = dists[:, j].copy()
+            if used_far:
+                column[used_far] = -1.0
+            far = int(np.argmax(column))
+            used_far.append(far)
+            new[j] = features[far]
         centroids = new
         prev = assign
     return centroids, assign, history
@@ -142,8 +138,8 @@ def sample_kmeans(ds, k: int, seed: int) -> ReferenceSet:
     _check_k(k, ds.n)
     rng = rand.derive(seed, rand.SAMPLER)
     centroids, _, _ = lloyd(ds.features, k, rng)
-    sigmas = _region_sigmas(ds.features, centroids, "euclidean")
-    return ReferenceSet(centroids, _repair_sigmas(sigmas), "kmeans", "euclidean", "centroids")
+    return ReferenceSet(centroids, _sigmas(ds.features, centroids, "euclidean"),
+                        "kmeans", "euclidean", "centroids")
 
 
 def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], np.ndarray]:
@@ -216,20 +212,28 @@ def sample_fft(ds, k: int, dist: str, seed: int) -> tuple[list[int], float | Non
     return centers, (radii[-1] if radii else None)
 
 
-def _region_sigmas(features: np.ndarray, refs: np.ndarray, dist: str) -> np.ndarray:
-    """Max distance from each reference to the training rows nearest to it."""
+def _region_means(features: np.ndarray, assign: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Mean of the rows assigned to each reference; an empty region keeps its row of refs."""
+    # One mean() per region, not np.add.at: on one-column data mean() sums
+    # pairwise, so a scatter-add would change the last bits.
+    means = refs.copy()
+    for j in range(refs.shape[0]):
+        members = features[assign == j]
+        if members.shape[0]:
+            means[j] = members.mean(axis=0)
+    return means
+
+
+def _sigmas(features: np.ndarray, refs: np.ndarray, dist: str) -> np.ndarray:
+    """Max distance from each reference to the training rows nearest to it.
+
+    A degenerate scale (an empty region, or one whose rows all sit on the
+    reference) becomes the mean of the positive scales, or 1 if none is positive.
+    """
     dists = geometry.pairwise(dist, features, refs)
     assign = np.argmin(dists, axis=1)
     sigmas = np.zeros(refs.shape[0])
-    for j in range(refs.shape[0]):
-        mask = assign == j
-        if mask.any():
-            sigmas[j] = float(dists[mask, j].max())
-    return sigmas
-
-
-def _repair_sigmas(sigmas: np.ndarray) -> np.ndarray:
-    """Replace degenerate (zero) scales with the mean of the positive ones."""
+    np.maximum.at(sigmas, assign, dists[np.arange(assign.size), assign])
     positive = sigmas[sigmas > 0.0]
     fill = float(positive.mean()) if positive.size else 1.0
     return np.where(sigmas > 0.0, sigmas, fill)
@@ -246,17 +250,11 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
     """
     if ref_type not in REF_TYPES:
         raise SamplingError(f"unknown reference type {ref_type!r}")
-    refs = ds.features[np.asarray(picked, dtype=np.int64)].astype(np.float64).copy()
+    refs = ds.features[np.asarray(picked, dtype=np.int64)]
     if ref_type == "centroids":
         assign = np.argmin(geometry.pairwise(dist, ds.features, refs), axis=1)
-        converted = refs.copy()
-        for j in range(refs.shape[0]):
-            members = ds.features[assign == j]
-            if members.shape[0]:
-                converted[j] = members.mean(axis=0)
-        refs = converted
-    sigmas = _region_sigmas(ds.features, refs, dist)
-    return ReferenceSet(refs, _repair_sigmas(sigmas), sampler, dist, ref_type)
+        refs = _region_means(ds.features, assign, refs)
+    return ReferenceSet(refs, _sigmas(ds.features, refs, dist), sampler, dist, ref_type)
 
 
 def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,

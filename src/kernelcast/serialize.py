@@ -244,10 +244,23 @@ def report_from_doc(doc: dict) -> SearchReport:
     best = int(doc["best_index"])
     if best != best_entry_index(entries):
         raise FormatError(f"best_index {best} is not the first entry with the lowest cv_ber")
-    return SearchReport(entries, best, int(doc["master_seed"]),
-                        int(doc["fold_count"]), doc["scaler"], doc["mode"],
-                        doc["sampler_filter"], tuple(doc["data_shape"]),
-                        np.asarray(doc["fold_of"], dtype=np.int64))
+    shape = doc["data_shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(x) is int and x >= 0 for x in shape)):
+        raise FormatError("search_report field 'data_shape' must be three non-negative integers")
+    fold_of = np.asarray(doc["fold_of"], dtype=np.int64)
+    if fold_of.shape != (shape[0],):
+        raise FormatError(f"search_report field 'fold_of' must hold one fold index for each "
+                          f"of the {shape[0]} data rows")
+    present = np.unique(fold_of)
+    if present.size < 2 or not np.array_equal(present, np.arange(present.size)):
+        raise FormatError("search_report field 'fold_of' must use every fold index "
+                          "0, 1, ..., k - 1 for some k >= 2")
+    if int(doc["fold_count"]) != present.size:
+        raise FormatError(f"search_report field 'fold_count' {doc['fold_count']} does not "
+                          f"match the {present.size} folds of 'fold_of'")
+    return SearchReport(entries, best, int(doc["master_seed"]), doc["scaler"], doc["mode"],
+                        doc["sampler_filter"], tuple(shape), fold_of)
 
 
 _WRITERS = {
@@ -274,7 +287,8 @@ def to_json(obj) -> str:
 def from_json(text: str):
     """Parse any document written by to_json, dispatching on its kind.
 
-    A missing field or a model whose fields disagree raises FormatError.
+    A missing field, a field of the wrong type or a document whose fields
+    disagree raises FormatError.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -288,6 +302,10 @@ def from_json(text: str):
         return reader(doc)
     except KeyError as exc:
         raise FormatError(f"{doc['kind']} document is missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        if type(exc) is not ValueError and isinstance(exc, ValueError):
+            raise  # the package's own error types pass through
+        raise FormatError(f"{doc['kind']} document is malformed: {exc}") from None
 
 
 def save(obj, path) -> None:

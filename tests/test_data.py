@@ -94,6 +94,41 @@ def test_missing_label_column_rejected(tmp_path):
         load_csv(path, label_column=7, has_header=True)
 
 
+def plain_and_bom(tmp_path, rows, name):
+    """Write ``rows`` as CSV twice: as plain UTF-8 and with a leading byte-order mark."""
+    text = "".join(",".join(row) + "\n" for row in rows)
+    paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}-bom.csv")
+    paths[0].write_bytes(text.encode("utf-8"))
+    paths[1].write_bytes(text.encode("utf-8-sig"))
+    return [str(path) for path in paths]
+
+
+def iris_rows():
+    with open(IRIS, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def assert_same_dataset(a, b):
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tolist() == b.labels.tolist()
+    assert a.label_names == b.label_names
+
+
+def test_byte_order_mark_before_header_names_the_first_column(tmp_path):
+    rows = [row[-1:] + row[:-1] for row in iris_rows()]  # species first
+    plain, bom = plain_and_bom(tmp_path, rows, "species-first")
+    assert_same_dataset(load_csv(bom, label_column="species", has_header=True),
+                        load_csv(plain, label_column="species", has_header=True))
+
+
+def test_byte_order_mark_before_headerless_numbers(tmp_path):
+    rows = iris_rows()[1:]
+    plain, bom = plain_and_bom(tmp_path, rows, "labeled")
+    assert_same_dataset(load_csv(bom), load_csv(plain))
+    plain, bom = plain_and_bom(tmp_path, [row[:-1] for row in rows], "features")
+    assert data.load_feature_csv(bom).tobytes() == data.load_feature_csv(plain).tobytes()
+
+
 def test_vocabulary_round_trip(tmp_path):
     path = write(tmp_path, "1,2,b\n3,4,a\n")
     ds = load_csv(path, vocabulary=["a", "b"])
@@ -170,7 +205,7 @@ def test_make_folds_balanced_counts():
     ds = make_labeled([6, 3])
     plan = make_folds(ds, 3, seed=2)
     for fold in range(3):
-        held = ds.labels[plan.fold_of == fold]
+        held = ds.labels[plan == fold]
         assert np.bincount(held, minlength=2).tolist() == [2, 1]
 
 
@@ -186,7 +221,7 @@ def test_make_folds_stratification_within_one_of_ceil():
         for c, count in enumerate(counts):
             ceil = -(-count // k)
             for fold in range(k):
-                got = int(np.sum((plan.fold_of == fold) & (ds.labels == c)))
+                got = int(np.sum((plan == fold) & (ds.labels == c)))
                 assert abs(got - ceil) <= 1
 
 
@@ -194,9 +229,23 @@ def test_make_folds_deterministic():
     ds = make_labeled([9, 9])
     a = make_folds(ds, 3, seed=4)
     b = make_folds(ds, 3, seed=4)
-    assert np.array_equal(a.fold_of, b.fold_of)
+    assert np.array_equal(a, b)
     c = make_folds(ds, 3, seed=5)
-    assert not np.array_equal(a.fold_of, c.fold_of)
+    assert not np.array_equal(a, c)
+
+
+def test_make_folds_returns_int64_fold_per_row():
+    ds = make_labeled([7, 5])
+    fold_of = make_folds(ds, 3, seed=1)
+    assert isinstance(fold_of, np.ndarray)
+    assert fold_of.dtype == np.int64 and fold_of.shape == (ds.n,)
+    assert np.unique(fold_of).tolist() == [0, 1, 2]
+
+
+def test_make_folds_rejects_empty_dataset():
+    empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), ["a", "b"])
+    with pytest.raises(DataError, match="empty dataset"):
+        make_folds(empty, 3, seed=0)
 
 
 def test_make_folds_rejects_small_class():
@@ -210,7 +259,7 @@ def test_split_fold_partitions():
     plan = make_folds(ds, 3, seed=0)
     train, held = split_fold(ds, plan, 1)
     assert train.n + held.n == ds.n
-    assert held.n == int(np.sum(plan.fold_of == 1))
+    assert held.n == int(np.sum(plan == 1))
 
 
 def test_standardize_frozen_values():

@@ -5,10 +5,11 @@ import pytest
 
 from kernelcast import geometry, rand
 from kernelcast.data import Dataset
-from kernelcast.sampling import (SamplingError, finalize_references,
-                                 fft_traverse, lloyd, make_reference_set,
-                                 sample_density, sample_fft, sample_kmeans,
-                                 sample_random)
+from kernelcast.sampling import (_LLOYD_MAX_ITERS, SamplingError,
+                                 _kmeanspp_seed, _region_means, _sigmas,
+                                 finalize_references, fft_traverse, lloyd,
+                                 make_reference_set, sample_density,
+                                 sample_fft, sample_kmeans, sample_random)
 from synthdata import random_dataset
 
 
@@ -245,6 +246,116 @@ def test_region_assignment_matches_per_row_recompute():
                        for row in ds.features])
     for j in range(len(picked)):
         assert np.array_equal(refs.refs[j], ds.features[region == j].mean(axis=0))
+
+
+# ------------------------- region helpers against the per-region loops they replaced
+
+def loop_region_means(features, assign, refs):
+    converted = refs.copy()
+    for j in range(refs.shape[0]):
+        members = features[assign == j]
+        if members.shape[0]:
+            converted[j] = members.mean(axis=0)
+    return converted
+
+
+def loop_sigmas(features, refs, dist):
+    dists = geometry.pairwise(dist, features, refs)
+    assign = np.argmin(dists, axis=1)
+    sigmas = np.zeros(refs.shape[0])
+    for j in range(refs.shape[0]):
+        mask = assign == j
+        if mask.any():
+            sigmas[j] = float(dists[mask, j].max())
+    positive = sigmas[sigmas > 0.0]
+    fill = float(positive.mean()) if positive.size else 1.0
+    return np.where(sigmas > 0.0, sigmas, fill)
+
+
+def loop_lloyd(features, k, rng):
+    """lloyd with its old update: means and empty-cluster reseeds in one loop over j."""
+    features = np.asarray(features, dtype=np.float64)
+    centroids = _kmeanspp_seed(features, k, rng)
+    prev, history, reseeds = None, [], 0
+    for _ in range(_LLOYD_MAX_ITERS):
+        dists = geometry.pairwise("euclidean", features, centroids)
+        assign = np.argmin(dists, axis=1)
+        history.append(float(np.square(dists[np.arange(len(features)), assign]).sum()))
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        new = centroids.copy()
+        used_far = []
+        for j in range(k):
+            members = features[assign == j]
+            if members.shape[0]:
+                new[j] = members.mean(axis=0)
+            else:
+                column = dists[:, j].copy()
+                if used_far:
+                    column[used_far] = -1.0
+                far = int(np.argmax(column))
+                used_far.append(far)
+                new[j] = features[far]
+                reseeds += 1
+        centroids = new
+        prev = assign
+    return centroids, assign, history, reseeds
+
+
+def region_cases():
+    """(name, features, refs): seeded data, duplicates, k = n, empty regions, one column."""
+    rng = np.random.default_rng(21)
+    normal = rng.normal(size=(40, 3))
+    dup = np.repeat(rng.normal(size=(5, 2)), 6, axis=0)
+    one = rng.normal(size=(50, 1))
+    far = np.array([[50.0, 50.0, 50.0], [-50.0, 0.0, 0.0]])  # no row is nearest to these
+    return [
+        ("seeded", normal, normal[[3, 11, 17, 29]]),
+        ("duplicates", dup, dup[[0, 1, 6, 12]]),  # rows 0 and 1 coincide: region 1 is empty
+        ("k_equals_n", normal[:12], normal[:12]),
+        ("empty_regions", normal, np.vstack([normal[[2, 8]], far])),
+        ("one_column", one, one[[0, 5, 9, 30, 44]]),
+        ("zero_row", np.vstack([np.zeros((1, 3)), normal[:20]]), normal[[1, 4]]),
+    ]
+
+
+@pytest.mark.parametrize("dist", ["euclidean", "angle"])
+@pytest.mark.parametrize("name,features,refs", region_cases(),
+                         ids=[case[0] for case in region_cases()])
+def test_region_helpers_bit_equal_to_loops(name, features, refs, dist):
+    assign = np.argmin(geometry.pairwise(dist, features, refs), axis=1)
+    means = _region_means(features, assign, refs)
+    assert means.tobytes() == loop_region_means(features, assign, refs).tobytes()
+    assert _sigmas(features, refs, dist).tobytes() == loop_sigmas(features, refs, dist).tobytes()
+    assert _sigmas(features, means, dist).tobytes() == loop_sigmas(features, means, dist).tobytes()
+
+
+def test_region_cases_hold_empty_regions():
+    cases = {name: (features, refs) for name, features, refs in region_cases()}
+    for name in ("duplicates", "empty_regions"):
+        features, refs = cases[name]
+        assign = np.argmin(geometry.pairwise("euclidean", features, refs), axis=1)
+        assert np.bincount(assign, minlength=len(refs)).min() == 0, name
+
+
+@pytest.mark.parametrize("k,seed", [(5, 9), (7, 3), (12, 0)])
+def test_lloyd_bit_equal_to_loop_with_empty_clusters(k, seed):
+    # three distinct positions, each repeated: more clusters than positions
+    feats = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
+    centroids, assign, history = lloyd(feats, k, rand.derive(seed))
+    want, want_assign, want_history, reseeds = loop_lloyd(feats, k, rand.derive(seed))
+    assert reseeds > 0
+    assert centroids.tobytes() == want.tobytes()
+    assert np.array_equal(assign, want_assign) and history == want_history
+
+
+def test_lloyd_bit_equal_to_loop_on_seeded_data():
+    feats = np.random.default_rng(8).normal(size=(120, 4))
+    for k in (1, 4, 16):
+        got = lloyd(feats, k, rand.derive(k))
+        want = loop_lloyd(feats, k, rand.derive(k))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 @pytest.mark.parametrize("sampler", ["random", "density", "fft", "kmeans"])

@@ -270,3 +270,58 @@ def test_rejects_report_whose_best_index_is_not_the_best_entry(trained, best_ind
     doc = report_doc(trained[1], cv_bers, best_index)
     with pytest.raises(FormatError, match=f"best_index {best_index} is not"):
         from_json(json.dumps(doc))
+
+
+def relabel_fold(old, new):
+    def edit(doc):
+        doc["fold_of"] = [new if f == old else f for f in doc["fold_of"]]
+    edit.__name__ = f"fold_{old}_as_{new}"
+    return edit
+
+
+BAD_REPORTS = [
+    (setting("fold_count_99", ("fold_count",), 99),
+     "field 'fold_count' 99 does not match the 3 folds of 'fold_of'"),
+    (setting("fold_count_2", ("fold_count",), 2),
+     "field 'fold_count' 2 does not match the 3 folds of 'fold_of'"),
+    (setting("one_fold_of", ("fold_of",), [0]),
+     "'fold_of' must hold one fold index for each of the 40"),
+    (setting("nested_fold_of", ("fold_of",), [[0, 1]] * 40),
+     "'fold_of' must hold one fold index for each of the 40"),
+    (relabel_fold(1, 2), "field 'fold_of' must use every fold index"),
+    (relabel_fold(0, -1), "field 'fold_of' must use every fold index"),
+    (setting("single_fold", ("fold_of",), [0] * 40), "field 'fold_of' must use every fold index"),
+    (setting("string_shape", ("data_shape",), "abc"), "field 'data_shape' must be three"),
+    (setting("short_shape", ("data_shape",), [40, 2]), "field 'data_shape' must be three"),
+    (setting("negative_shape", ("data_shape", 1), -2), "field 'data_shape' must be three"),
+    (setting("float_shape", ("data_shape", 0), 40.0), "field 'data_shape' must be three"),
+]
+
+
+@pytest.mark.parametrize("edit,message", BAD_REPORTS, ids=[edit.__name__ for edit, _ in BAD_REPORTS])
+def test_rejects_report_whose_folds_or_shape_disagree(trained, edit, message):
+    doc = json.loads(to_json(trained[1]))
+    assert doc["data_shape"] == [40, 2, 2] and doc["fold_count"] == 3
+    edit(doc)
+    with pytest.raises(FormatError, match=message):
+        from_json(json.dumps(doc))
+
+
+# documents whose structure, not their numbers, is wrong
+MALFORMED = [
+    ("ensemble", setting("int_members", ("members",), 5)),
+    ("ensemble", setting("list_inner", ("members", 0, "inner"), [])),
+    ("ensemble", setting("list_config", ("members", 0, "config"), [])),
+    ("ensemble", setting("int_label_names", ("members", 0, "label_names"), 3)),
+    ("ensemble", setting("string_vote_seed", ("vote_seed",), "x")),
+    ("search_report", setting("int_evaluated", ("evaluated",), 3)),
+    ("search_report", setting("string_fold_of", ("fold_of",), "abc")),
+]
+
+
+@pytest.mark.parametrize("kind,edit", MALFORMED, ids=[edit.__name__ for _, edit in MALFORMED])
+def test_malformed_structure_raises_format_error_naming_the_kind(trained, kind, edit):
+    doc = json.loads(to_json(trained[2] if kind == "ensemble" else trained[1]))
+    edit(doc)
+    with pytest.raises(FormatError, match=f"^{kind} document is malformed: "):
+        from_json(json.dumps(doc))
