@@ -3,7 +3,9 @@
 All commands exit 0 on success; failures print ``error: <message>`` to
 standard error and exit 1.  Reports and models are JSON documents; repeated
 runs with the same seed reproduce them byte for byte apart from wall-time
-fields.  KERNELCAST_THREADS caps evaluation parallelism (0 = one per CPU).
+fields.  KERNELCAST_THREADS sets how many forked worker processes evaluate a
+search (0 = one per CPU, capped at the CPU count; sequential where fork is
+unavailable).
 """
 
 from __future__ import annotations

@@ -38,6 +38,13 @@ class SearchError(ValueError):
     """Invalid search parameters."""
 
 
+def json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer; a float or a bool raises TypeError naming ``field``."""
+    if type(value) is not int:
+        raise TypeError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One point of the pipeline configuration space."""
@@ -79,10 +86,10 @@ class Configuration:
     def from_dict(doc: dict) -> "Configuration":
         knn = None
         if doc.get("knn") is not None:
-            knn = KnnParams(int(doc["knn"]["neighbors"]), doc["knn"]["weighting"],
-                            doc["knn"]["distance"])
+            knn = KnnParams(json_int(doc["knn"]["neighbors"], "knn.neighbors"),
+                            doc["knn"]["weighting"], doc["knn"]["distance"])
         return Configuration(
-            k_references=int(doc["k_references"]),
+            k_references=json_int(doc["k_references"], "k_references"),
             sampling_distance=doc["sampling_distance"],
             sampler=doc["sampler"],
             kernel=doc["kernel"],

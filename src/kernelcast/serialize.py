@@ -17,7 +17,7 @@ from .classify import GnbModel, KnnModel, KnnParams
 from .data import ScalerSpec
 from .ensemble import Ensemble
 from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
-                       best_entry_index)
+                       best_entry_index, json_int)
 from .sampling import ReferenceSet, SamplingError
 
 FORMAT_VERSION = 1
@@ -103,16 +103,17 @@ def _inner_to_doc(inner) -> dict:
 
 def _inner_from_doc(doc: dict):
     if doc["kind"] == "knn":
-        params = KnnParams(int(doc["neighbors"]), doc["weighting"], doc["distance"])
+        params = KnnParams(json_int(doc["neighbors"], "inner.neighbors"), doc["weighting"],
+                           doc["distance"])
         return KnnModel(np.asarray(doc["features"], dtype=np.float64),
                         np.asarray(doc["labels"], dtype=np.int64),
-                        params, int(doc["n_classes"]))
+                        params, json_int(doc["n_classes"], "inner.n_classes"))
     if doc["kind"] == "gnb":
         return GnbModel(np.asarray(doc["class_ids"], dtype=np.int64),
                         np.asarray(doc["priors"], dtype=np.float64),
                         np.asarray(doc["means"], dtype=np.float64),
                         np.asarray(doc["variances"], dtype=np.float64),
-                        int(doc["n_classes"]))
+                        json_int(doc["n_classes"], "inner.n_classes"))
     raise FormatError(f"unknown inner model kind {doc['kind']!r}")
 
 
@@ -203,7 +204,7 @@ def ensemble_from_doc(doc: dict) -> Ensemble:
     members = [kms_from_doc(m) for m in doc["members"]]
     if any(m.label_names != members[0].label_names for m in members):
         raise FormatError("ensemble members have different label_names")
-    return Ensemble(members, int(doc["vote_seed"]))
+    return Ensemble(members, json_int(doc["vote_seed"], "vote_seed"))
 
 
 def report_to_doc(report: SearchReport) -> dict:
@@ -234,14 +235,14 @@ def report_to_doc(report: SearchReport) -> dict:
 def report_from_doc(doc: dict) -> SearchReport:
     entries = [
         EvalOutcome(Configuration.from_dict(e["config"]), _unscore(e["cv_ber"]),
-                    int(e["seed"]), float(e["wall_time"]), e.get("error"))
+                    json_int(e["seed"], "seed"), float(e["wall_time"]), e.get("error"))
         for e in doc["evaluated"]
     ]
     if not entries:
         raise FormatError("search_report field 'evaluated' is empty")
     if not all(e.cv_ber >= 0.0 for e in entries):  # also rejects NaN
         raise FormatError("search_report field 'cv_ber' must be null or a number >= 0")
-    best = int(doc["best_index"])
+    best = json_int(doc["best_index"], "best_index")
     if best != best_entry_index(entries):
         raise FormatError(f"best_index {best} is not the first entry with the lowest cv_ber")
     shape = doc["data_shape"]
@@ -252,15 +253,17 @@ def report_from_doc(doc: dict) -> SearchReport:
     if fold_of.shape != (shape[0],):
         raise FormatError(f"search_report field 'fold_of' must hold one fold index for each "
                           f"of the {shape[0]} data rows")
+    if not all(type(x) is int for x in doc["fold_of"]):
+        raise FormatError("search_report field 'fold_of' must hold integers")
     present = np.unique(fold_of)
     if present.size < 2 or not np.array_equal(present, np.arange(present.size)):
         raise FormatError("search_report field 'fold_of' must use every fold index "
                           "0, 1, ..., k - 1 for some k >= 2")
-    if int(doc["fold_count"]) != present.size:
+    if json_int(doc["fold_count"], "fold_count") != present.size:
         raise FormatError(f"search_report field 'fold_count' {doc['fold_count']} does not "
                           f"match the {present.size} folds of 'fold_of'")
-    return SearchReport(entries, best, int(doc["master_seed"]), doc["scaler"], doc["mode"],
-                        doc["sampler_filter"], tuple(shape), fold_of)
+    return SearchReport(entries, best, json_int(doc["master_seed"], "master_seed"),
+                        doc["scaler"], doc["mode"], doc["sampler_filter"], tuple(shape), fold_of)
 
 
 _WRITERS = {

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -230,9 +232,12 @@ def test_programming_errors_propagate_out_of_search(monkeypatch):
         raise TypeError("simulated bug")
 
     monkeypatch.setattr(modelsel, "map_dataset", broken)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     ds = make_blobs(n_per_class=15, spread=0.3, seed=7)
-    with pytest.raises(TypeError, match="simulated bug"):
-        random_search(ds, sample_size=4, seed=0)
+    for threads in (None, 2):
+        with pytest.raises(TypeError, match="simulated bug"):
+            random_search(ds, sample_size=4, seed=0, threads=threads)
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_search_never_worse_than_random_subsample():

@@ -221,6 +221,13 @@ BAD_MODELS = [
      "inner.weighting 'distance' does not match the config's 'uniform'"),
     ("knn", setting("knn_distance", ("config", "knn", "distance"), "angle"),
      "inner.distance 'euclidean' does not match the config's 'angle'"),
+    # integer fields holding floats or booleans
+    ("gnb", setting("float_k_references", ("config", "k_references"), 4.9),
+     "field 'k_references' must be an integer, got 4.9"),
+    ("knn", setting("float_neighbors", ("inner", "neighbors"), 3.5),
+     "field 'inner.neighbors' must be an integer, got 3.5"),
+    ("gnb", setting("true_n_classes", ("inner", "n_classes"), True),
+     "field 'inner.n_classes' must be an integer, got True"),
 ]
 
 
@@ -307,6 +314,48 @@ def test_rejects_report_whose_folds_or_shape_disagree(trained, edit, message):
         from_json(json.dumps(doc))
 
 
+def raise_folds(doc):
+    doc["fold_of"] = [f + 0.7 for f in doc["fold_of"]]
+
+
+def boolean_folds(doc):
+    doc["fold_of"] = [bool(f) for f in doc["fold_of"]]
+
+
+def first_knn_neighbors(value):
+    def edit(doc):
+        entry = next(e for e in doc["evaluated"] if e["config"]["knn"] is not None)
+        entry["config"]["knn"]["neighbors"] = value
+    edit.__name__ = f"knn_neighbors_{value}"
+    return edit
+
+
+# integer fields holding floats or booleans, which int() would truncate
+NON_INTEGERS = [
+    (raise_folds, "field 'fold_of' must hold integers"),
+    (boolean_folds, "field 'fold_of' must hold integers"),
+    (setting("float_fold_count", ("fold_count",), 3.0), "field 'fold_count' must be an integer"),
+    (setting("float_best_index", ("best_index",), 0.0), "field 'best_index' must be an integer"),
+    (setting("true_best_index", ("best_index",), True), "field 'best_index' must be an integer"),
+    (setting("float_master_seed", ("master_seed",), 1.5), "field 'master_seed' must be an integer"),
+    (setting("float_seed", ("evaluated", 0, "seed"), 7.0), "field 'seed' must be an integer"),
+    (setting("float_k_references", ("evaluated", 0, "config", "k_references"), 4.9),
+     "field 'k_references' must be an integer, got 4.9"),
+    (setting("true_k_references", ("evaluated", 0, "config", "k_references"), True),
+     "field 'k_references' must be an integer, got True"),
+    (first_knn_neighbors(3.5), "field 'knn.neighbors' must be an integer, got 3.5"),
+]
+
+
+@pytest.mark.parametrize("edit,message", NON_INTEGERS,
+                         ids=[edit.__name__ for edit, _ in NON_INTEGERS])
+def test_rejects_report_whose_integer_fields_are_not_integers(trained, edit, message):
+    doc = json.loads(to_json(trained[1]))
+    edit(doc)
+    with pytest.raises(FormatError, match=message):
+        from_json(json.dumps(doc))
+
+
 # documents whose structure, not their numbers, is wrong
 MALFORMED = [
     ("ensemble", setting("int_members", ("members",), 5)),
@@ -314,6 +363,7 @@ MALFORMED = [
     ("ensemble", setting("list_config", ("members", 0, "config"), [])),
     ("ensemble", setting("int_label_names", ("members", 0, "label_names"), 3)),
     ("ensemble", setting("string_vote_seed", ("vote_seed",), "x")),
+    ("ensemble", setting("float_vote_seed", ("vote_seed",), 2.5)),
     ("search_report", setting("int_evaluated", ("evaluated",), 3)),
     ("search_report", setting("string_fold_of", ("fold_of",), "abc")),
 ]
