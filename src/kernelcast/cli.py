@@ -134,9 +134,8 @@ def cmd_predict(args) -> int:
     else:
         features = load_feature_csv(args.data, has_header=args.has_header)
     predicted = _predict(model, features)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        lines = [name + "\n" for name in names]
-        fh.write("".join([lines[i] for i in predicted.tolist()]))
+    lines = [name + "\n" for name in names]
+    serialize.write_text(args.out, "".join([lines[i] for i in predicted.tolist()]))
     if args.dump_mapped is not None:
         mapped = map_matrix(model.scaler.transform(features), model.refs, model.config.kernel)
         np.savetxt(args.dump_mapped, mapped, delimiter=",")
@@ -156,10 +155,9 @@ def cmd_consensus(args) -> int:
                            has_header=args.has_header, vocabulary=ds.label_names)
     curve = consensus_curve(report, ds, eval_ds, ell_start=args.ell_start,
                             step=args.step, ell_max=args.ell_max, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("ell,raw_ratio,normalized_ratio\n")
-        for ell, raw, norm in zip(curve.ells, curve.raw, curve.normalized):
-            fh.write(f"{ell},{raw!r},{norm!r}\n")
+    rows = [f"{ell},{raw!r},{norm!r}\n"
+            for ell, raw, norm in zip(curve.ells, curve.raw, curve.normalized)]
+    serialize.write_text(args.out, "ell,raw_ratio,normalized_ratio\n" + "".join(rows))
     print(f"wrote consensus curve with {len(curve.ells)} points -> {args.out}")
     return 0
 
@@ -275,8 +273,7 @@ def cmd_benchmark(args) -> int:
         "ranks": {"per_dataset": per_dataset_ranks, "average": average},
         "method_order": method_order,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    serialize.write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print("method order by average rank: " + ", ".join(method_order))
     print(f"wrote benchmark report -> {args.out}")
     return 0

@@ -14,6 +14,10 @@ DISTANCE_KINDS = ("euclidean", "angle")
 # euclidean distances.  Keeps peak memory bounded for large query sets.
 _BLOCK_ELEMENTS = 1 << 22
 
+# Cap on cells of euclidean training-row distances one TrainingGeometry
+# keeps (32 MiB of float64); rows past it are computed again on each request.
+_KEPT_CELLS = 1 << 22
+
 # Unit roundoff and smallest subnormal of float64, for the error bound that
 # sizes the euclidean shortlist in ``nearest``.
 _UNIT = np.finfo(np.float64).eps / 2
@@ -51,9 +55,14 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.where(norms == 0.0, 1.0, norms)
 
 
+def _unit_angles(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    # The one angle formula: both pairwise and TrainingGeometry call it on
+    # unit rows, so equal operands of equal shapes give equal bits.
+    return np.arccos(np.clip(ua @ ub.T, -1.0, 1.0))
+
+
 def _angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    cos = np.clip(_unit_rows(a) @ _unit_rows(b).T, -1.0, 1.0)
-    return np.arccos(cos)
+    return _unit_angles(_unit_rows(a), _unit_rows(b))
 
 
 def _validated(kind: str, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -82,6 +91,61 @@ def pairwise(kind: str, a, b) -> np.ndarray:
     if kind == "euclidean":
         return _euclidean_matrix(a, b)
     return _angle_matrix(a, b)
+
+
+class TrainingGeometry:
+    """Distances among the rows of one training matrix, each computed once.
+
+    ``distances(kind, rows, cols)`` equals ``pairwise(kind, X[rows], X[cols])``
+    bit for bit, where None stands for every row in order.  Euclidean
+    distances are row-local and exactly symmetric, so whole rows of the
+    self-distance matrix are computed through ``pairwise`` once and kept, up
+    to ``_KEPT_CELLS`` cells; a column is served as the kept row.  Angle
+    distances multiply once-computed unit rows, in the operand order and
+    shapes of the ``pairwise`` call they replace, so BLAS sees the same
+    product; a full angle Gram matrix would not reproduce its bits.
+    """
+
+    def __init__(self, features):
+        self.features = _as_matrix(features)
+        n = self.features.shape[0]
+        self._slot = np.full(n, -1, dtype=np.intp)  # row -> its index in _kept
+        self._kept = np.empty((min(n, _KEPT_CELLS // max(1, n)), n))
+        self._used = 0
+        self._units = None
+
+    def distances(self, kind: str, rows=None, cols=None) -> np.ndarray:
+        _check_kind(kind)
+        if kind == "angle":
+            if self._units is None:
+                self._units = _unit_rows(self.features)
+            units = self._units
+            return _unit_angles(units if rows is None else units[rows],
+                                units if cols is None else units[cols])
+        if cols is not None and (rows is None or len(cols) < len(rows)):
+            block = self._euclidean_rows(cols)
+            return (block if rows is None else block[:, rows]).T
+        block = self._euclidean_rows(rows)
+        return block if cols is None else block[:, cols]
+
+    def _euclidean_rows(self, rows) -> np.ndarray:
+        """Whole self-distance rows ``rows`` (every row when None)."""
+        n = self.features.shape[0]
+        rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        slots = self._slot[rows]
+        hit = slots >= 0
+        if hit.all():
+            return self._kept[slots]
+        out = np.empty((rows.size, n))
+        out[hit] = self._kept[slots[hit]]
+        missing, where = np.unique(rows[~hit], return_inverse=True)
+        fresh = pairwise("euclidean", self.features[missing], self.features)
+        out[~hit] = fresh[where]
+        keep = min(missing.size, self._kept.shape[0] - self._used)
+        self._kept[self._used:self._used + keep] = fresh[:keep]
+        self._slot[missing[:keep]] = np.arange(self._used, self._used + keep)
+        self._used += keep
+        return out
 
 
 def _pack(keep: np.ndarray, dists: np.ndarray | None = None):

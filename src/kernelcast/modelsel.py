@@ -8,12 +8,13 @@ returns a report listing everything it tried.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .classify import (GnbModel, KnnModel, KnnParams, gnb_fit, gnb_predict,
                        knn_fit, knn_predict)
 from .data import (SCALER_KINDS, Dataset, ScalerSpec, apply_scaler, fit_scaler,
                    make_folds, split_fold)
-from .geometry import DISTANCE_KINDS
+from .geometry import DISTANCE_KINDS, TrainingGeometry
 from .kernelmap import KERNEL_KINDS, map_dataset, map_matrix
 from .sampling import REF_TYPES, SAMPLER_KINDS, make_reference_set
 
@@ -80,7 +81,25 @@ class Configuration:
             raise SearchError("knn parameters are required exactly when the classifier is knn")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        knn = self.knn
+        return {
+            "k_references": self.k_references,
+            "sampling_distance": self.sampling_distance,
+            "sampler": self.sampler,
+            "kernel": self.kernel,
+            "ref_type": self.ref_type,
+            "classifier": self.classifier,
+            "knn": None if knn is None else {"neighbors": knn.neighbors,
+                                             "weighting": knn.weighting,
+                                             "distance": knn.distance},
+            "scaler": self.scaler,
+        }
+
+    @functools.cached_property
+    def digest(self) -> int:
+        """See config_digest; computed once per configuration object."""
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
     @staticmethod
     def from_dict(doc: dict) -> "Configuration":
@@ -102,8 +121,7 @@ class Configuration:
 
 def config_digest(cfg: Configuration) -> int:
     """Stable 64-bit fingerprint of a configuration (process-independent)."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return cfg.digest
 
 
 def balanced_error_rate(truth, predicted, n_classes: int,
@@ -124,18 +142,17 @@ def balanced_error_rate(truth, predicted, n_classes: int,
         raise SearchError("cannot score an empty sample")
     if min(truth.min(), predicted.min()) < 0 or max(truth.max(), predicted.max()) >= n_classes:
         raise SearchError("label id out of range")
-    terms = np.empty(n_classes)
-    for c in range(n_classes):
-        count = int(np.count_nonzero(truth == c))
-        fn = int(np.count_nonzero((truth == c) & (predicted != c)))
-        fp = int(np.count_nonzero((predicted == c) & (truth != c)))
-        if count == 0:
-            warnings.warn(f"class {c} has no truth samples; scoring only its false positives",
-                          RuntimeWarning, stacklevel=2)
-            count = 1
-        errors = fp + fn if include_false_positives else fn
-        terms[c] = errors / count
-    return float(terms.mean())
+    count = np.bincount(truth, minlength=n_classes)
+    wrong = truth != predicted
+    errors = np.bincount(truth[wrong], minlength=n_classes)  # misses
+    if include_false_positives:
+        errors += np.bincount(predicted[wrong], minlength=n_classes)
+    for c in np.flatnonzero(count == 0):
+        warnings.warn(f"class {c} has no truth samples; scoring only its false positives",
+                      RuntimeWarning, stacklevel=2)
+    # Integer counts convert to float exactly, so each quotient is the
+    # correctly rounded one that Python's int / int gives.
+    return float((errors / np.maximum(count, 1)).mean())
 
 
 def enumerate_grid(scaler: str = "none") -> list[Configuration]:
@@ -176,15 +193,46 @@ class KmsModel:
     cv_ber: float | None = None
 
 
-def fit_pipeline(cfg: Configuration, train: Dataset, seed: int) -> KmsModel:
-    """Fit scaler, references, and internal classifier on one training set."""
-    spec = fit_scaler(cfg.scaler, train)
+@dataclass
+class PreparedFold:
+    """A training set scaled once for every configuration fitted on it.
+
+    ``train`` holds the scaled training rows and ``geometry`` their
+    distances, filled as samplers ask for them.  ``held_out`` keeps the
+    fold's unscaled held-out rows, if any.
+    """
+
+    scaler: ScalerSpec
+    train: Dataset
+    geometry: TrainingGeometry
+    held_out: Dataset | None = None
+
+
+def prepare_fold(scaler: str, train: Dataset, held_out: Dataset | None = None) -> PreparedFold:
+    """Fit and apply one scaler kind to a training set."""
+    spec = fit_scaler(scaler, train)
     scaled = apply_scaler(spec, train)
-    refs = make_reference_set(scaled, cfg.sampler, cfg.k_references,
-                              cfg.sampling_distance, cfg.ref_type, seed)
-    mapped = map_dataset(scaled, refs, cfg.kernel)
+    return PreparedFold(spec, scaled, TrainingGeometry(scaled.features), held_out)
+
+
+def prepare_folds(ds: Dataset, fold_of: np.ndarray, scaler: str) -> list[PreparedFold]:
+    """Split and scale every fold of a ``make_folds`` array once."""
+    return [prepare_fold(scaler, *split_fold(ds, fold_of, fold))
+            for fold in range(int(fold_of.max()) + 1)]
+
+
+def fit_pipeline(cfg: Configuration, train: Dataset | PreparedFold, seed: int) -> KmsModel:
+    """Fit scaler, references, and internal classifier on one training set.
+
+    A Dataset is scaled here; a PreparedFold, scaled by the configuration's
+    scaler kind, brings its scaled rows and their geometry.
+    """
+    fold = train if isinstance(train, PreparedFold) else prepare_fold(cfg.scaler, train)
+    refs = make_reference_set(fold.train, cfg.sampler, cfg.k_references,
+                              cfg.sampling_distance, cfg.ref_type, seed, fold.geometry)
+    mapped = map_dataset(fold.train, refs, cfg.kernel)
     inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
-    return KmsModel(cfg, spec, refs, inner, list(train.label_names))
+    return KmsModel(cfg, fold.scaler, refs, inner, list(fold.train.label_names))
 
 
 def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
@@ -196,21 +244,20 @@ def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
     return gnb_predict(model.inner, mapped)
 
 
-def evaluate_config(cfg: Configuration, ds: Dataset, fold_of: np.ndarray, seed: int) -> float:
+def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
-    ``fold_of`` is a ``make_folds`` array.  Each fold fits on the remaining
+    ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
     folds only and scores on the held-out rows; the per-fold RNG derives from
     (seed, configuration, fold) so results do not depend on evaluation order.
     Fit errors propagate.
     """
     digest = config_digest(cfg)
     bers = []
-    for fold in range(int(fold_of.max()) + 1):
-        train, held_out = split_fold(ds, fold_of, fold)
-        fitted = fit_pipeline(cfg, train, rand.seed_from(seed, rand.FOLD_EVAL, digest, fold))
-        predicted = pipeline_predict(fitted, held_out.features)
-        bers.append(balanced_error_rate(held_out.labels, predicted, ds.n_classes))
+    for i, fold in enumerate(folds):
+        fitted = fit_pipeline(cfg, fold, rand.seed_from(seed, rand.FOLD_EVAL, digest, i))
+        predicted = pipeline_predict(fitted, fold.held_out.features)
+        bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
     return float(np.mean(bers))
 
 
@@ -259,11 +306,13 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
                 scaler: str, mode: str, sampler_filter: str | None,
                 threads: int | None) -> SearchReport:
     fold_of = make_folds(ds, fold_count, seed)
+    # Forked workers inherit the folds and fill their geometry copy-on-write.
+    folds = prepare_folds(ds, fold_of, scaler)
 
     def evaluate(cfg: Configuration) -> EvalOutcome:
         started = time.perf_counter()
         try:
-            ber = evaluate_config(cfg, ds, fold_of, seed)
+            ber = evaluate_config(cfg, folds, seed)
             error = None
         except ValueError as exc:  # domain errors only; anything else is a bug and propagates
             ber = math.inf

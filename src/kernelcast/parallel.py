@@ -6,15 +6,19 @@ at the CPU count and at the number of chunks.  Workers are forked processes;
 where the fork start method is unavailable the items run sequentially.  A
 worker receives only a (start, stop) chunk of input positions and returns
 its results, which are joined in input order, so schedules never change
-outputs.
+outputs.  On Linux a worker dies with its parent, so killing a search never
+leaves workers behind.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import sys
 
 ENV_VAR = "KERNELCAST_THREADS"
 CHUNKS_PER_WORKER = 4
+_PR_SET_PDEATHSIG = 1  # prctl option from <sys/prctl.h>
 
 # (fn, items) of the map_indexed call a worker serves; set only in workers.
 _job = None
@@ -35,9 +39,23 @@ def thread_limit(explicit: int | None = None, n_items: int | None = None) -> int
     return max(1, limit)
 
 
-def _start_worker(job) -> None:
+def _die_with_parent(parent: int) -> None:
+    # The death signal fires when the thread that forked this worker exits.
+    # The pool forks from the thread that called map_indexed, which waits
+    # for every worker before it returns, so only the parent's death fires it.
+    if sys.platform.startswith("linux"):
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+
+
+def _start_worker(job, parent: int) -> None:
     global _job
     _job = job
+    _die_with_parent(parent)
 
 
 def _run_chunk(bounds: tuple[int, int]) -> list:
@@ -64,5 +82,5 @@ def map_indexed(fn, items, threads: int | None = None) -> list:
     # Under fork the initializer's arguments are inherited, not pickled, so
     # fn may be a closure.  The with block joins every worker before returning.
     with ProcessPoolExecutor(limit, mp_context=context, initializer=_start_worker,
-                             initargs=((fn, items),)) as pool:
+                             initargs=((fn, items), os.getpid())) as pool:
         return [result for chunk in pool.map(_run_chunk, bounds) for result in chunk]

@@ -138,23 +138,31 @@ def sample_kmeans(ds, k: int, seed: int) -> ReferenceSet:
     _check_k(k, ds.n)
     rng = rand.derive(seed, rand.SAMPLER)
     centroids, _, _ = lloyd(ds.features, k, rng)
-    return ReferenceSet(centroids, _sigmas(ds.features, centroids, "euclidean"),
+    return ReferenceSet(centroids, _sigmas(geometry.pairwise("euclidean", ds.features, centroids)),
                         "kmeans", "euclidean", "centroids")
 
 
-def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], np.ndarray]:
+def _geometry(features, geo):
+    return geometry.TrainingGeometry(features) if geo is None else geo
+
+
+def sample_density(ds, k: int, dist: str, seed: int,
+                   geo=None) -> tuple[list[int], np.ndarray]:
     """Density-net sampling by batch removal.
 
     With region size l = ceil(n / k), repeatedly pick a random remaining row,
     record it as a center, and remove it together with its l-1 nearest
     remaining neighbors.  Yields ceil(n / l) centers, which can be fewer
     than k; each removal batch is that center's region.  Returns the centers
-    and each row's center ordinal.
+    and each row's center ordinal.  ``geo``, a TrainingGeometry of
+    ``ds.features``, serves the distances; one is built when not given.
     """
     _check_k(k, ds.n)
     n = ds.n
+    geo = _geometry(ds.features, geo)
     region_size = math.ceil(n / k)
     rng = rand.derive(seed, rand.SAMPLER)
+    alive = np.ones(n, dtype=bool)
     remaining = np.arange(n)
     centers: list[int] = []
     region_of = np.full(n, -1, dtype=np.int64)
@@ -163,31 +171,32 @@ def sample_density(ds, k: int, dist: str, seed: int) -> tuple[list[int], np.ndar
         others = remaining[remaining != c]
         take = others[:0]
         if others.size and region_size > 1:
-            dvec = geometry.pairwise(dist, ds.features[[c]], ds.features[others])[0]
+            dvec = geo.distances(dist, [c], others)[0]
             # Stable sort: equal distances resolve to the lowest row index
             # because `remaining` is kept in ascending order.
             take = others[np.argsort(dvec, kind="stable")[:region_size - 1]]
-        batch = np.concatenate(([c], take))
-        region_of[batch] = len(centers)
+        region_of[c] = region_of[take] = len(centers)
         centers.append(c)
-        remaining = np.setdiff1d(remaining, batch, assume_unique=True)
+        alive[c] = alive[take] = False
+        remaining = np.flatnonzero(alive)
     return centers, region_of
 
 
-def fft_traverse(features: np.ndarray, k: int, dist: str,
-                 first: int) -> tuple[list[int], list[float]]:
+def fft_traverse(features: np.ndarray, k: int, dist: str, first: int,
+                 geo=None) -> tuple[list[int], list[float]]:
     """Farthest-first traversal from a given start row.
 
     Returns the picked row indices and the selection radii: radii[i] is the
     min-distance-to-chosen of the (i+2)-th pick at the moment it was chosen.
-    The radii sequence is non-increasing.
+    The radii sequence is non-increasing.  ``geo``, a TrainingGeometry of
+    ``features``, serves the distances; one is built when not given.
     """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    geo = _geometry(features, geo)
+    n = geo.features.shape[0]
     centers = [int(first)]
     picked = np.zeros(n, dtype=bool)
     picked[first] = True
-    dmin = geometry.pairwise(dist, features, features[[first]])[:, 0]
+    dmin = geo.distances(dist, None, [first])[:, 0]
     radii: list[float] = []
     while len(centers) < k:
         masked = np.where(picked, -np.inf, dmin)
@@ -195,11 +204,12 @@ def fft_traverse(features: np.ndarray, k: int, dist: str,
         radii.append(float(dmin[w]))
         picked[w] = True
         centers.append(w)
-        dmin = np.minimum(dmin, geometry.pairwise(dist, features, features[[w]])[:, 0])
+        dmin = np.minimum(dmin, geo.distances(dist, None, [w])[:, 0])
     return centers, radii
 
 
-def sample_fft(ds, k: int, dist: str, seed: int) -> tuple[list[int], float | None]:
+def sample_fft(ds, k: int, dist: str, seed: int,
+               geo=None) -> tuple[list[int], float | None]:
     """Farthest-first traversal from a random start.
 
     Returns the picked indices and the last selection radius r (None when
@@ -208,7 +218,7 @@ def sample_fft(ds, k: int, dist: str, seed: int) -> tuple[list[int], float | Non
     _check_k(k, ds.n)
     rng = rand.derive(seed, rand.SAMPLER)
     first = int(rng.integers(ds.n))
-    centers, radii = fft_traverse(ds.features, k, dist, first)
+    centers, radii = fft_traverse(ds.features, k, dist, first, geo)
     return centers, (radii[-1] if radii else None)
 
 
@@ -224,15 +234,16 @@ def _region_means(features: np.ndarray, assign: np.ndarray, refs: np.ndarray) ->
     return means
 
 
-def _sigmas(features: np.ndarray, refs: np.ndarray, dist: str) -> np.ndarray:
+def _sigmas(dists: np.ndarray) -> np.ndarray:
     """Max distance from each reference to the training rows nearest to it.
 
-    A degenerate scale (an empty region, or one whose rows all sit on the
-    reference) becomes the mean of the positive scales, or 1 if none is positive.
+    ``dists`` holds the distances from every training row (rows) to every
+    reference (columns).  A degenerate scale (an empty region, or one whose
+    rows all sit on the reference) becomes the mean of the positive scales,
+    or 1 if none is positive.
     """
-    dists = geometry.pairwise(dist, features, refs)
     assign = np.argmin(dists, axis=1)
-    sigmas = np.zeros(refs.shape[0])
+    sigmas = np.zeros(dists.shape[1])
     np.maximum.at(sigmas, assign, dists[np.arange(assign.size), assign])
     positive = sigmas[sigmas > 0.0]
     fill = float(positive.mean()) if positive.size else 1.0
@@ -240,28 +251,34 @@ def _sigmas(features: np.ndarray, refs: np.ndarray, dist: str) -> np.ndarray:
 
 
 def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
-                        sampler: str) -> ReferenceSet:
+                        sampler: str, geo=None) -> ReferenceSet:
     """Turn picked row indices into a ReferenceSet with per-reference scales.
 
     With ref_type "centroids" each picked row is replaced by the centroid of
     its Voronoi region over the full training set (empty regions keep the
     original row).  sigma_c is the maximum distance from reference c to the
-    training rows whose nearest reference is c.
+    training rows whose nearest reference is c.  ``geo``, a TrainingGeometry
+    of ``ds.features``, serves the distances to picked rows; distances to
+    centroids, which are not rows, come from ``pairwise``.
     """
     if ref_type not in REF_TYPES:
         raise SamplingError(f"unknown reference type {ref_type!r}")
-    refs = ds.features[np.asarray(picked, dtype=np.int64)]
+    picked = np.asarray(picked, dtype=np.int64)
+    refs = ds.features[picked]
+    dists = _geometry(ds.features, geo).distances(dist, None, picked)
     if ref_type == "centroids":
-        assign = np.argmin(geometry.pairwise(dist, ds.features, refs), axis=1)
-        refs = _region_means(ds.features, assign, refs)
-    return ReferenceSet(refs, _sigmas(ds.features, refs, dist), sampler, dist, ref_type)
+        refs = _region_means(ds.features, np.argmin(dists, axis=1), refs)
+        dists = geometry.pairwise(dist, ds.features, refs)
+    return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type)
 
 
 def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
-                       seed: int) -> ReferenceSet:
+                       seed: int, geo=None) -> ReferenceSet:
     """Run one sampler end to end and return its ReferenceSet.
 
     k-means only supports euclidean distance and centroid references.
+    ``geo``, a TrainingGeometry of ``ds.features``, lets every sampler fitted
+    on the same rows share their distances; one is built when not given.
     """
     if sampler not in SAMPLER_KINDS:
         raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_KINDS}")
@@ -271,10 +288,11 @@ def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
         if dist != "euclidean" or ref_type != "centroids":
             raise SamplingError("kmeans sampling requires euclidean distance and centroid references")
         return sample_kmeans(ds, k, seed)
+    geo = _geometry(ds.features, geo)
     if sampler == "random":
         picked = sample_random(ds, k, seed)
     elif sampler == "density":
-        picked, _ = sample_density(ds, k, dist, seed)
+        picked, _ = sample_density(ds, k, dist, seed, geo)
     else:
-        picked, _ = sample_fft(ds, k, dist, seed)
-    return finalize_references(ds, picked, ref_type, dist, sampler)
+        picked, _ = sample_fft(ds, k, dist, seed, geo)
+    return finalize_references(ds, picked, ref_type, dist, sampler, geo)

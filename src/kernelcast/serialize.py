@@ -311,9 +311,8 @@ def from_json(text: str):
         raise FormatError(f"{doc['kind']} document is malformed: {exc}") from None
 
 
-def save(obj, path) -> None:
-    """Write a document atomically: a failed save leaves any previous file intact."""
-    text = to_json(obj)
+def write_text(path, text: str) -> None:
+    """Write ``text`` atomically: a failed write leaves any previous file intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -322,6 +321,11 @@ def save(obj, path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def save(obj, path) -> None:
+    """Write a document atomically: a failed save leaves any previous file intact."""
+    write_text(path, to_json(obj))
 
 
 def load(path):

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 from pathlib import Path
 
@@ -334,3 +336,59 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+class HalfWritten:
+    """A text file whose first write stores half its text, then fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def output_argv(command, workdir, tmp_path):
+    data = ["--data", str(workdir / "train.csv")]
+    if command == "predict":
+        model = tmp_path / "model.json"
+        assert main(["train", *data, "--report", str(workdir / "report.json"),
+                     "--out", str(model)]) == 0
+        return ["predict", "--model", str(model), "--data", str(workdir / "holdout.csv"),
+                "--truth-col", "-1"]
+    if command == "consensus":
+        return ["consensus", *data, "--report", str(workdir / "report.json"), "--ell-max", "5"]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"datasets": [{"name": "blobs", "splits": [
+        {"train": str(workdir / "train.csv"), "test": str(workdir / "holdout.csv")}]}]}))
+    return ["benchmark", "--manifest", str(manifest), "--methods", "kms-rs", "--budget", "4"]
+
+
+@pytest.mark.parametrize("command", ["predict", "consensus", "benchmark"])
+def test_failed_output_write_keeps_previous_file(workdir, tmp_path, monkeypatch, capsys,
+                                                 command):
+    argv = output_argv(command, workdir, tmp_path)
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    assert main([*argv, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    real_open = builtins.open
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWritten(fh) if mode.startswith("w") else fh
+
+    monkeypatch.setattr(builtins, "open", disk_full_open)
+    assert main([*argv, "--out", str(out)]) == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ["result"]

@@ -124,6 +124,65 @@ def test_nearest_reference_tie_lowest_index():
     assert np.array_equal(refs, [[0.5, 0.0], [-1.0, 0.0]])
 
 
+# ------------------------------------------------------ training geometry
+
+def training_rows(rng, n, d):
+    """Gaussian rows with duplicate rows and, for the angle distance, zero rows."""
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0)
+    x[rng.integers(0, n, size=n // 5)] = x[rng.integers(0, n, size=n // 5)]
+    x[rng.random(n) < 0.1] = 0.0
+    return x
+
+
+def random_subset(rng, n):
+    """None (every row), or a random ordered subset of row ids, possibly repeating."""
+    size = int(rng.integers(1, n + 1))
+    return None if size == n else rng.choice(n, size=size, replace=bool(rng.random() < 0.2))
+
+
+@pytest.mark.parametrize("d", [2, 5, 10, 34])
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_training_geometry_equals_pairwise_bit_for_bit(kind, d):
+    rng = np.random.default_rng(d)
+    x = training_rows(rng, 60, d)
+    geo = geometry.TrainingGeometry(x)
+    every = np.arange(len(x))
+    for _ in range(40):
+        rows, cols = random_subset(rng, len(x)), random_subset(rng, len(x))
+        if rng.random() < 0.3:
+            rows = [int(rng.integers(len(x)))]  # the samplers' one-row and one-column calls
+        elif rng.random() < 0.3:
+            cols = [int(rng.integers(len(x)))]
+        want = geometry.pairwise(kind, x[every if rows is None else rows],
+                                 x[every if cols is None else cols])
+        got = geo.distances(kind, rows, cols)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_training_geometry_euclidean_self_matrix_is_exactly_symmetric():
+    x = training_rows(np.random.default_rng(3), 80, 7)
+    full = geometry.TrainingGeometry(x).distances("euclidean")
+    assert np.array_equal(full, full.T)
+    assert full.tobytes() == geometry.pairwise("euclidean", x, x).tobytes()
+
+
+def test_training_geometry_past_its_cell_budget_gives_the_same_bytes(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = training_rows(rng, 40, 5)
+    monkeypatch.setattr(geometry, "_KEPT_CELLS", 3 * len(x))  # room for three rows
+    calls = []
+    pairwise = geometry.pairwise
+    monkeypatch.setattr(geometry, "pairwise", lambda *a: calls.append(a[1].shape[0]) or pairwise(*a))
+    geo = geometry.TrainingGeometry(x)
+    for _ in range(3):
+        for rows in ([0, 1], [5], None, [7, 2, 9], [0]):
+            want = pairwise("euclidean", x[np.arange(40) if rows is None else rows], x[:20])
+            assert geo.distances("euclidean", rows, np.arange(20)).tobytes() == want.tobytes()
+    # Rows 0, 1 and 5 fill the budget.  The all-rows request is served from
+    # the 20 column rows (17 of them not kept), and rows 7, 2, 9 are never kept.
+    assert calls == [2, 1, 17, 3] + [17, 3] * 2
+
+
 # ------------------------------------------------------------------ nearest
 
 def assert_nearest_is_stable_argsort_prefix(kind, queries, train, k):

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import multiprocessing
 import os
 import warnings
@@ -11,7 +14,8 @@ from kernelcast.modelsel import (Configuration, SearchError,
                                  balanced_error_rate, config_digest,
                                  enumerate_grid, evaluate_config,
                                  fit_pipeline, grid_search, kms_fit,
-                                 kms_predict, pipeline_predict, random_search)
+                                 kms_predict, pipeline_predict, prepare_folds,
+                                 random_search)
 from kernelcast.serialize import from_json, to_json
 from synthdata import make_blobs, random_dataset
 
@@ -87,6 +91,54 @@ def test_ber_matches_confusion_matrix_oracle():
         assert balanced_error_rate(
             truth, predicted, n_classes, include_false_positives=False
         ) == pytest.approx(np.mean(fn_rates))
+
+
+def loop_ber(truth, predicted, n_classes, include_false_positives=True):
+    """balanced_error_rate as it was: one pass over the labels per class."""
+    terms = np.empty(n_classes)
+    for c in range(n_classes):
+        count = int(np.count_nonzero(truth == c))
+        fn = int(np.count_nonzero((truth == c) & (predicted != c)))
+        fp = int(np.count_nonzero((predicted == c) & (truth != c)))
+        if count == 0:
+            warnings.warn(f"class {c} has no truth samples; scoring only its false positives",
+                          RuntimeWarning, stacklevel=2)
+            count = 1
+        errors = fp + fn if include_false_positives else fn
+        terms[c] = errors / count
+    return float(terms.mean())
+
+
+def test_ber_equals_the_per_class_loop_bit_for_bit():
+    rng = np.random.default_rng(1)
+    empty_seen = 0
+    for trial in range(400):
+        n_classes = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 60))
+        # A narrower truth range leaves the top classes empty.
+        truth = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n)
+        predicted = rng.integers(0, n_classes, size=n)
+        empty = n_classes - np.unique(truth).size
+        empty_seen += empty > 0
+        for fp in (True, False):
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                value = balanced_error_rate(truth, predicted, n_classes, fp)
+            with warnings.catch_warnings(record=True) as want:
+                warnings.simplefilter("always")
+                expected = loop_ber(truth, predicted, n_classes, fp)
+            assert value.hex() == expected.hex()
+            assert [str(w.message) for w in got] == [str(w.message) for w in want]
+            assert len(got) == empty
+    assert empty_seen > 50
+
+
+def test_config_dict_and_digest_match_dataclasses_asdict():
+    for cfg in enumerate_grid("standardize")[::7] + enumerate_grid()[:40]:
+        old = dataclasses.asdict(cfg)
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == json.dumps(old, sort_keys=True)
+        blob = json.dumps(old, sort_keys=True).encode("utf-8")
+        assert config_digest(cfg) == int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
 def test_ber_rejects_length_mismatch():
@@ -278,8 +330,9 @@ def test_evaluate_config_mean_over_folds():
     ds = make_blobs(n_per_class=24, spread=0.3, seed=11)
     folds = make_folds(ds, 3, seed=0)
     cfg = knn_config(k_references=8)
-    score = evaluate_config(cfg, ds, folds, seed=13)
-    again = evaluate_config(cfg, ds, folds, seed=13)
+    prepared = prepare_folds(ds, folds, cfg.scaler)
+    score = evaluate_config(cfg, prepared, seed=13)
+    again = evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), seed=13)
     assert score == again
     assert 0.0 <= score <= 2.0
 
@@ -289,7 +342,7 @@ def test_evaluate_config_propagates_failures():
     folds = make_folds(ds, 3, seed=0)
     cfg = knn_config(k_references=64)
     with pytest.raises(Exception):
-        evaluate_config(cfg, ds, folds, seed=0)
+        evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), seed=0)
 
 
 # ------------------------------------------------------------ kms model

@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -94,6 +96,7 @@ def test_worker_count_is_capped_at_cpus_and_chunks(cpus, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(FakeExecutor, "calls", [])
     monkeypatch.setattr(parallel, "_job", None)  # the fake runs the worker set-up here
+    monkeypatch.setattr(parallel, "_die_with_parent", lambda parent: None)
     cpus(3)
     assert parallel.thread_limit(100000) == 3
     assert parallel.thread_limit(0) == 3
@@ -142,3 +145,55 @@ def test_importing_the_package_loads_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+KILLED_SEARCH = """
+import os, sys, time
+from kernelcast import modelsel
+from synthdata import make_blobs
+
+os.cpu_count = lambda: 2
+evaluate_config = modelsel.evaluate_config
+
+def announced(*args):
+    print(os.getpid(), flush=True)
+    time.sleep(0.05)
+    return evaluate_config(*args)
+
+modelsel.evaluate_config = announced
+modelsel.random_search(make_blobs(n_per_class=20, seed=3), sample_size=2000)
+"""
+
+
+def process_gone(pid: int) -> bool:
+    # A killed orphan may linger as a zombie until its new parent reaps it.
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the death signal is Linux-only")
+def test_workers_die_with_a_terminated_parent():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, parallel.ENV_VAR: "2",
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    child = subprocess.Popen([sys.executable, "-c", KILLED_SEARCH], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        workers = set()
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            workers.add(int(child.stdout.readline()))
+        assert len(workers) == 2 and child.pid not in workers
+        child.terminate()
+        assert child.wait(timeout=10) == -signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    deadline = time.monotonic() + 5
+    while not all(process_gone(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in workers if not process_gone(pid)] == []

@@ -157,6 +157,59 @@ def test_density_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
+def loop_density(ds, k, dist, seed):
+    """sample_density as it was with setdiff1d and one pairwise call per center."""
+    n = ds.n
+    region_size = math.ceil(n / k)
+    rng = rand.derive(seed, rand.SAMPLER)
+    remaining = np.arange(n)
+    centers = []
+    region_of = np.full(n, -1, dtype=np.int64)
+    while remaining.size:
+        c = int(remaining[rng.integers(remaining.size)])
+        others = remaining[remaining != c]
+        take = others[:0]
+        if others.size and region_size > 1:
+            dvec = geometry.pairwise(dist, ds.features[[c]], ds.features[others])[0]
+            take = others[np.argsort(dvec, kind="stable")[:region_size - 1]]
+        batch = np.concatenate(([c], take))
+        region_of[batch] = len(centers)
+        centers.append(c)
+        remaining = np.setdiff1d(remaining, batch, assume_unique=True)
+    return centers, region_of
+
+
+@pytest.mark.parametrize("dist", ["euclidean", "angle"])
+def test_density_equals_the_setdiff_loop(dist):
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        n, d = int(rng.integers(2, 70)), int(rng.integers(1, 6))
+        features = rng.integers(-2, 3, size=(n, d)).astype(float)  # ties and zero rows
+        if trial % 2:
+            features += rng.normal(size=(n, d))
+        ds = flat(features)
+        geo = geometry.TrainingGeometry(ds.features)  # shared across k and seeds
+        for k in sorted({1, 2, n // 3 + 1, n}):
+            for seed in range(3):
+                want = loop_density(ds, k, dist, seed)
+                for shared in (None, geo):
+                    centers, regions = sample_density(ds, k, dist, seed, shared)
+                    assert centers == want[0] and regions.tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("sampler", ["density", "fft", "random"])
+def test_shared_geometry_gives_each_reference_set_its_own_bytes(sampler):
+    rng = np.random.default_rng(13)
+    ds = flat(rng.normal(size=(45, 4)))
+    geo = geometry.TrainingGeometry(ds.features)
+    for k, dist, ref_type, seed in [(4, "euclidean", "centers", 0), (9, "angle", "centroids", 1),
+                                    (16, "euclidean", "centroids", 2), (5, "angle", "centers", 3)]:
+        alone = make_reference_set(ds, sampler, k, dist, ref_type, seed)
+        shared = make_reference_set(ds, sampler, k, dist, ref_type, seed, geo)
+        assert alone.refs.tobytes() == shared.refs.tobytes()
+        assert alone.sigmas.tobytes() == shared.sigmas.tobytes()
+
+
 # ---------------------------------------------------------------- fft
 
 def test_fft_hand_trace():
@@ -326,8 +379,9 @@ def test_region_helpers_bit_equal_to_loops(name, features, refs, dist):
     assign = np.argmin(geometry.pairwise(dist, features, refs), axis=1)
     means = _region_means(features, assign, refs)
     assert means.tobytes() == loop_region_means(features, assign, refs).tobytes()
-    assert _sigmas(features, refs, dist).tobytes() == loop_sigmas(features, refs, dist).tobytes()
-    assert _sigmas(features, means, dist).tobytes() == loop_sigmas(features, means, dist).tobytes()
+    for r in (refs, means):
+        sigmas = _sigmas(geometry.pairwise(dist, features, r))
+        assert sigmas.tobytes() == loop_sigmas(features, r, dist).tobytes()
 
 
 def test_region_cases_hold_empty_regions():
