@@ -1,7 +1,9 @@
 """Distance matrices between sets of row vectors, and nearest neighbours.
 
 Shared by prototype sampling, kernel mapping, and the kNN classifier so that
-every component measures dissimilarity the same way.
+every component measures dissimilarity the same way.  A TrainingGeometry
+keeps the distances among one training set's rows, so that the samplers
+fitted on those rows compute each of them once.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ leaves workers behind.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 
 ENV_VAR = "KERNELCAST_THREADS"
@@ -44,7 +43,8 @@ def _die_with_parent(parent: int) -> None:
     # The pool forks from the thread that called map_indexed, which waits
     # for every worker before it returns, so only the parent's death fires it.
     if sys.platform.startswith("linux"):
-        import ctypes
+        import ctypes  # imported here, like signal: only workers need them
+        import signal
         prctl = ctypes.CDLL(None).prctl
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
