@@ -15,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,8 +194,7 @@ class KmsModel:
     cv_ber: float | None = None
 
 
-@dataclass
-class PreparedFold:
+class PreparedFold(NamedTuple):
     """A training set scaled once for every configuration fitted on it.
 
     ``train`` holds the scaled training rows and ``geometry`` their

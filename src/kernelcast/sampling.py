@@ -3,6 +3,9 @@
 Four strategies pick k reference points from a training set: uniform random
 rows, k-means centroids, density-net removal, and farthest-first traversal.
 Each reference also gets a scale sigma_c used later by the kernel transforms.
+Functions that measure distances among training rows take an optional
+``geo``, a geometry.TrainingGeometry of those rows, so that samplers fitted
+on the same rows share them; one is built when not given.
 """
 
 from __future__ import annotations
@@ -154,8 +157,7 @@ def sample_density(ds, k: int, dist: str, seed: int,
     record it as a center, and remove it together with its l-1 nearest
     remaining neighbors.  Yields ceil(n / l) centers, which can be fewer
     than k; each removal batch is that center's region.  Returns the centers
-    and each row's center ordinal.  ``geo``, a TrainingGeometry of
-    ``ds.features``, serves the distances; one is built when not given.
+    and each row's center ordinal.
     """
     _check_k(k, ds.n)
     n = ds.n
@@ -188,8 +190,7 @@ def fft_traverse(features: np.ndarray, k: int, dist: str, first: int,
 
     Returns the picked row indices and the selection radii: radii[i] is the
     min-distance-to-chosen of the (i+2)-th pick at the moment it was chosen.
-    The radii sequence is non-increasing.  ``geo``, a TrainingGeometry of
-    ``features``, serves the distances; one is built when not given.
+    The radii sequence is non-increasing.
     """
     geo = _geometry(features, geo)
     n = geo.features.shape[0]
@@ -257,9 +258,8 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
     With ref_type "centroids" each picked row is replaced by the centroid of
     its Voronoi region over the full training set (empty regions keep the
     original row).  sigma_c is the maximum distance from reference c to the
-    training rows whose nearest reference is c.  ``geo``, a TrainingGeometry
-    of ``ds.features``, serves the distances to picked rows; distances to
-    centroids, which are not rows, come from ``pairwise``.
+    training rows whose nearest reference is c.  Centroids are not rows, so
+    distances to them come from ``pairwise``.
     """
     if ref_type not in REF_TYPES:
         raise SamplingError(f"unknown reference type {ref_type!r}")
@@ -277,8 +277,6 @@ def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
     """Run one sampler end to end and return its ReferenceSet.
 
     k-means only supports euclidean distance and centroid references.
-    ``geo``, a TrainingGeometry of ``ds.features``, lets every sampler fitted
-    on the same rows share their distances; one is built when not given.
     """
     if sampler not in SAMPLER_KINDS:
         raise SamplingError(f"unknown sampler {sampler!r}; expected one of {SAMPLER_KINDS}")

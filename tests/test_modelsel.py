@@ -332,7 +332,7 @@ def test_evaluate_config_mean_over_folds():
     cfg = knn_config(k_references=8)
     prepared = prepare_folds(ds, folds, cfg.scaler)
     score = evaluate_config(cfg, prepared, seed=13)
-    again = evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), seed=13)
+    again = evaluate_config(cfg, prepared, seed=13)  # now with the folds' distances kept
     assert score == again
     assert 0.0 <= score <= 2.0
 

@@ -148,7 +148,7 @@ def test_importing_the_package_loads_no_process_machinery():
 
 
 KILLED_SEARCH = """
-import os, sys, time
+import os, time
 from kernelcast import modelsel
 from synthdata import make_blobs
 
