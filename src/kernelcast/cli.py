@@ -101,6 +101,8 @@ def cmd_train(args) -> int:
         except KeyError as exc:
             raise CliError(f"{args.config}: configuration is missing field "
                            f"{exc.args[0]!r}") from None
+        except (AttributeError, TypeError) as exc:
+            raise CliError(f"{args.config}: configuration is malformed: {exc}") from None
         model = kms_fit(cfg, ds, args.seed)
         serialize.save(model, args.out)
         print(f"trained single model -> {args.out}")

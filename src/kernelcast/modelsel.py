@@ -3,7 +3,9 @@
 A Configuration names one full pipeline: reference count, sampling distance,
 sampler, kernel, reference type, and internal classifier.  Search evaluates
 configurations by stratified cross-validation on the balanced error rate and
-returns a report listing everything it tried.
+returns a report listing everything it tried.  Configurations that differ only
+in kernel and classifier form one reference stage and fit on the same
+references, sampled once per fold.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .data import (SCALER_KINDS, Dataset, ScalerSpec, apply_scaler, fit_scaler,
                    make_folds, split_fold)
 from .geometry import DISTANCE_KINDS, TrainingGeometry
 from .kernelmap import KERNEL_KINDS, map_dataset, map_matrix
-from .sampling import REF_TYPES, SAMPLER_KINDS, make_reference_set
+from .sampling import REF_TYPES, SAMPLER_KINDS, ReferenceSet, make_reference_set
 
 K_REFERENCE_CHOICES = (4, 8, 16, 32, 64)
 KNN_NEIGHBOR_CHOICES = (1, 5, 11, 21)
@@ -38,6 +40,11 @@ DEFAULT_FOLD_COUNT = 3
 
 class SearchError(ValueError):
     """Invalid search parameters."""
+
+
+def _digest64(doc: dict) -> int:
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
 def json_int(value, field: str) -> int:
@@ -99,8 +106,7 @@ class Configuration:
     @functools.cached_property
     def digest(self) -> int:
         """See config_digest; computed once per configuration object."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+        return _digest64(self.to_dict())
 
     @staticmethod
     def from_dict(doc: dict) -> "Configuration":
@@ -123,6 +129,16 @@ class Configuration:
 def config_digest(cfg: Configuration) -> int:
     """Stable 64-bit fingerprint of a configuration (process-independent)."""
     return cfg.digest
+
+
+def stage_digest(cfg: Configuration) -> int:
+    """Stable 64-bit fingerprint of a configuration's reference stage.
+
+    Configurations that differ only in kernel and classifier share a stage,
+    and with it their sampler seeds and so their reference sets.
+    """
+    fields = ("k_references", "sampler", "sampling_distance", "ref_type", "scaler")
+    return _digest64({field: getattr(cfg, field) for field in fields})
 
 
 def balanced_error_rate(truth, predicted, n_classes: int,
@@ -221,15 +237,18 @@ def prepare_folds(ds: Dataset, fold_of: np.ndarray, scaler: str) -> list[Prepare
             for fold in range(int(fold_of.max()) + 1)]
 
 
-def fit_pipeline(cfg: Configuration, train: Dataset | PreparedFold, seed: int) -> KmsModel:
+def fit_pipeline(cfg: Configuration, train: Dataset | PreparedFold, seed: int | None = None,
+                 refs: ReferenceSet | None = None) -> KmsModel:
     """Fit scaler, references, and internal classifier on one training set.
 
     A Dataset is scaled here; a PreparedFold, scaled by the configuration's
-    scaler kind, brings its scaled rows and their geometry.
+    scaler kind, brings its scaled rows and their geometry.  References are
+    sampled with ``seed`` unless the stage's ``refs`` on this set are given.
     """
     fold = train if isinstance(train, PreparedFold) else prepare_fold(cfg.scaler, train)
-    refs = make_reference_set(fold.train, cfg.sampler, cfg.k_references,
-                              cfg.sampling_distance, cfg.ref_type, seed, fold.geometry)
+    if refs is None:
+        refs = make_reference_set(fold.train, cfg.sampler, cfg.k_references,
+                                  cfg.sampling_distance, cfg.ref_type, seed, fold.geometry)
     mapped = map_dataset(fold.train, refs, cfg.kernel)
     inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
     return KmsModel(cfg, fold.scaler, refs, inner, list(fold.train.label_names))
@@ -244,18 +263,37 @@ def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
     return gnb_predict(model.inner, mapped)
 
 
-def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int) -> float:
+def stage_references(cfg: Configuration, folds: list[PreparedFold],
+                     seed: int) -> list[ReferenceSet]:
+    """The reference set of ``cfg``'s stage on each fold.
+
+    The per-fold RNG derives from (seed, stage, fold), so every configuration
+    of a stage fits on the same sets, whatever the evaluation order.
+    """
+    stage = stage_digest(cfg)
+    return [make_reference_set(fold.train, cfg.sampler, cfg.k_references, cfg.sampling_distance,
+                               cfg.ref_type, rand.seed_from(seed, rand.FOLD_EVAL, stage, i),
+                               fold.geometry)
+            for i, fold in enumerate(folds)]
+
+
+def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int,
+                    references: list[ReferenceSet] | ValueError | None = None) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
-    folds only and scores on the held-out rows; the per-fold RNG derives from
-    (seed, configuration, fold) so results do not depend on evaluation order.
-    Fit errors propagate.
+    folds only and scores on the held-out rows.  ``references`` are the
+    ``stage_references`` of ``cfg``, or the domain error their sampling
+    raised, which fails this configuration too; without them they are
+    sampled here.  Fit errors propagate.
     """
-    digest = config_digest(cfg)
+    if references is None:
+        references = stage_references(cfg, folds, seed)
+    elif isinstance(references, ValueError):
+        raise references.with_traceback(None)  # shared by the stage: keep its traceback short
     bers = []
-    for i, fold in enumerate(folds):
-        fitted = fit_pipeline(cfg, fold, rand.seed_from(seed, rand.FOLD_EVAL, digest, i))
+    for fold, refs in zip(folds, references):
+        fitted = fit_pipeline(cfg, fold, refs=refs)
         predicted = pipeline_predict(fitted, fold.held_out.features)
         bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
     return float(np.mean(bers))
@@ -309,17 +347,32 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
     # Forked workers inherit the folds and fill their geometry copy-on-write.
     folds = prepare_folds(ds, fold_of, scaler)
 
-    def evaluate(cfg: Configuration) -> EvalOutcome:
+    def evaluate(cfg: Configuration, references) -> EvalOutcome:
         started = time.perf_counter()
         try:
-            ber = evaluate_config(cfg, folds, seed)
+            ber = evaluate_config(cfg, folds, seed, references)
             error = None
         except ValueError as exc:  # domain errors only; anything else is a bug and propagates
             ber = math.inf
             error = str(exc)
         return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error)
 
-    entries = parallel.map_indexed(evaluate, configs, threads)
+    def evaluate_stage(positions: list[int]) -> list[EvalOutcome]:
+        # The stage's references live only as long as this call.
+        try:
+            references = stage_references(configs[positions[0]], folds, seed)
+        except ValueError as exc:
+            references = exc
+        return [evaluate(configs[i], references) for i in positions]
+
+    stages: dict[int, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        stages.setdefault(stage_digest(cfg), []).append(i)
+    groups = list(stages.values())
+    entries = [None] * len(configs)
+    for positions, outcomes in zip(groups, parallel.map_indexed(evaluate_stage, groups, threads)):
+        for i, outcome in zip(positions, outcomes):
+            entries[i] = outcome
     best = best_entry_index(entries)
     return SearchReport(entries, best, seed, scaler, mode, sampler_filter,
                         (ds.n, ds.dim, ds.n_classes), fold_of)
@@ -370,7 +423,7 @@ def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
     """Fit one configuration on a full training set."""
     if ds.n_classes < 2:
         raise SearchError("training requires a dataset with at least 2 classes")
-    model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, config_digest(cfg)))
+    model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, stage_digest(cfg)))
     model.cv_ber = cv_ber
     return model
 

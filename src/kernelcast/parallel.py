@@ -1,13 +1,15 @@
 """Bounded pool of forked worker processes honoring the KERNELCAST_THREADS cap.
 
-KERNELCAST_THREADS limits how many configuration evaluations run at once
-(0 means one worker per CPU; unset means sequential).  The count is capped
-at the CPU count and at the number of chunks.  Workers are forked processes;
-where the fork start method is unavailable the items run sequentially.  A
-worker receives only a (start, stop) chunk of input positions and returns
-its results, which are joined in input order, so schedules never change
-outputs.  On Linux a worker dies with its parent, so killing a search never
-leaves workers behind.
+KERNELCAST_THREADS limits how many items run at once (0 means one worker
+per CPU; unset means sequential).  The search's items are its reference
+stages: each item evaluates every configuration of one stage, so no two
+workers sample the same stage.  The count is capped at the CPU count and at
+the number of items.  Workers are forked processes; where the fork start
+method is unavailable the items run sequentially.  A worker receives only a
+(start, stop) chunk of input positions and returns its results, which are
+joined in input order, so schedules never change outputs.  On Linux a
+worker dies with its parent, so killing a search never leaves workers
+behind.
 """
 
 from __future__ import annotations

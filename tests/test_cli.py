@@ -176,6 +176,22 @@ def test_train_config_missing_field_is_named(workdir, tmp_path, capsys, section,
     assert not model.exists()
 
 
+@pytest.mark.parametrize("doc,detail", [
+    ([1, 2], "'list' object has no attribute 'get'"),
+    ({"k_references": 4, "sampling_distance": "euclidean", "sampler": "random",
+      "kernel": "cauchy", "ref_type": "centers", "classifier": "knn", "knn": 5},
+     "'int' object is not subscriptable"),
+])
+def test_train_config_malformed_document_is_named(workdir, tmp_path, capsys, doc, detail):
+    cfg_path, model = tmp_path / "cfg.json", tmp_path / "model.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--config", str(cfg_path), "--out", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg_path}: configuration is malformed: {detail}\n"
+    assert not model.exists()
+
+
 def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, capsys):
     model = tmp_path / "ens.json"
     assert main(["train", "--data", str(workdir / "train.csv"),

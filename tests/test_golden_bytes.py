@@ -30,56 +30,56 @@ _WALL_TIME = re.compile(rb'"wall_time": [^,\n]+')
 SEARCH_DIGESTS = {
     # (dataset, sampler filter, scaler): digest of the scrubbed report
     ("iris", "density", "none"):
-        "a70d66f912a7e13d3674ff9ff1e524e4f527f57bce760b98a9ddf0b3c0860fe9",
+        "3742a8cfef787934147570452686bcfc7e7a581409784d33268e37241d37cd6c",
     ("iris", "density", "standardize"):
-        "229d763f111d9acb079b2243f761ba8b3a2f80be611c1b712b92e1397ef4ad21",
+        "3a3e09a46eaa4342327e86b4dbf81fbc55fe3e66bc8c3411d1e983f89e66a5e5",
     ("iris", "fft", "none"):
-        "8ccf39e8143b1161c7e36b1ed42190ebcbdb909a2af03d453dafffe7b7b52e40",
+        "f5d473df1bac61e56dbd56d511827e799e9adc1e386e940410d0f779971edcbc",
     ("iris", "fft", "standardize"):
-        "557c9cad6f5a0fbaede667613a33c375008bc469822249f9991c90f4484e5cd8",
+        "46630d1198030521c1ecf7581bf0d7ec154538cf63ef57a941a9c46774d1b53c",
     ("iris", "kmeans", "none"):
-        "1c0044378548a133801f3534ef24b4cdb8b2725d9af25dace8d06b57aa60b555",
+        "387761b4fd0d6bd40940c2fad08c473597c6c05b3663b1bd26c9a0cd5807cb9f",
     ("iris", "kmeans", "standardize"):
-        "ef49717e1ebc895715745cfb3efe6c8e9bc857cee1a5589b7acfb745103e6ef1",
+        "bf9488e26db96f483ed780ee614fe249a23e82724e0165be3e94fd7fbd7341ab",
     ("iris", "random", "none"):
-        "b5b207338979f9963b2d58727b02c33d3570a4445681032e6aef5bd31f54f4f8",
+        "58affd8c032b93e10b3f88ce6bf9e828835fc4004f1e0816d75571ed8aa9a717",
     ("iris", "random", "standardize"):
-        "88d6728522a25c30a77a59b43f1246ca100c8a5267eb0f6eac4448c1774863fb",
+        "13cd82c8c3f169e9cace133fb3d8dc856f16c6b1d49b3f1087b42f6201e663b8",
     ("gland", "density", "none"):
-        "02d6e821f9aa25c5b8936e94168df7750a3493285b8d1f8744404a27abaea6b9",
+        "6fc1d1ce97a3b9642260d7f786926eff06953d457f0a97f6196363e8e845920f",
     ("gland", "density", "standardize"):
-        "6df5401c4081ad3db3603b32510b76ed8b5697e720e01cc7e9fac23f48f4d608",
+        "f8bbe7a4c469a3b3400038fcf52ea9506a96b3143c9fd301374d6b8e5d1eda16",
     ("gland", "fft", "none"):
-        "646a9752a8e8d2e2e47b26d4f8f95d1ea958ba3b984994bdd487aee08e965f7b",
+        "0d0210febb77a91237453ae7613c6d5d2868d45b76baad29ba4a6daf52e56ca1",
     ("gland", "fft", "standardize"):
-        "c8ce0d94a08fbb7182d725359eeb48f50f5e6c4cb9cb0ee96b255d815f7c2d38",
+        "8b752ff75cfdddc8eaf5db0b11b2c8a521b064d93d40bdde58600528a1eb016a",
     ("gland", "kmeans", "none"):
-        "244200bd4eec280fc6474de17e1f08613a370db3e464d266e866971a994622dc",
+        "9eb14ad5d3d56dd1e5dedb604e201be83c4ea09cd0e889d37684ae65a11817de",
     ("gland", "kmeans", "standardize"):
-        "32ad4b41973b190af328dc37d8ac4290d9218a97f323f9f317fdfb6673857734",
+        "d0c77f10daec96031553f360aedf47662ee4a93bf7420e9f49806ece0c1cfd20",
     ("gland", "random", "none"):
-        '297d5b5dfe6a6d8d620c9527f0509b125732272427d961ab22cf87505ad7e92e',
+        '3ae3619ca4a82ef3a03752640d171244f2335d5a059d49e7e0a044606daf2f00',
     ('gland', 'random', 'standardize'):
-        '653c0cf0db8fdbf203cd1e8e5b0d402e26aa44a85be0c16b89a95734b96c2676',
+        'e0818306603912075f927aff57ac1be9d09a0b4ca18c8de118e89f5456fc6d42',
     ('banana', 'density', 'none'):
-        '1f2ff8397152578b52dd4966903517c81db50f237bc9a700c47a2ade2d772d47',
+        '2d1d13a37e0e189a834ee8adca6be45a2c088cda296e43688b2a65a94158cc0f',
     ('banana', 'density', 'standardize'):
-        'f5fc2f5a55d9c1f9e739c7a1a7a24dcd695e71b01218aed078ed5f828f6c8dff',
+        '5b1f30de3d0f4673d102939c6a90a6efc18bccae07b2ca31d91a2401dcbcb758',
     ('banana', 'fft', 'none'):
-        '62e719b1eb18d4df507e17883e0f9effde515b1443b92753c3d7e9060520fca4',
+        '3374ed4729e2abb0b29c4137f2472bae160dbff678941bae80caefec3110c47b',
     ('banana', 'fft', 'standardize'):
-        'b35ab5e183558a7f54708396c6035bbc5d10bb4725b82ebdfdfca08f15d80585',
+        'c67501965db57907de8b87396b17ad1c655017ea31afa5843f276fccd6cdd165',
     ('banana', 'kmeans', 'none'):
-        'da76d10a7c926c9eb0c068e498602c430fe55c10ee8676e8a095f3190191a0d5',
+        '0d9c78a0e8aafbad385218fbd96a7b62c8caafdbc120d805a34493c3b1cd5319',
     ('banana', 'kmeans', 'standardize'):
-        '5f5d2d8b2a8d0a15033d7e3db776cc0a536a2682f49b76026d48211cf476f8fb',
+        'cba06097fdc007d015b58da8591968211e519e04fd8d1a3d9f4e19395f00ccdc',
     ('banana', 'random', 'none'):
-        'bfedabebb27ce43b3c32be12d0ecc1bae69cf045a70e82b5432e779de6e25d14',
+        '3ea70dd03e88a8b0cfe65ab1dc3d0d9f2b1da934d4f6f290aa369938d55142c1',
     ('banana', 'random', 'standardize'):
-        '41ed3ed4a3dda82296697c632ac99301f91849d1c60ebaf95157417a682f269f',
+        '10e2eb20fcdd9a032977f85d89fbfd0a1b6fb2a83b86dd098b1d37e5b45658c2',
 }
 
-ENSEMBLE_PREDICTION_DIGEST = "072012fde2da2ba63e2b2a83f4724b2edd63d42d6fb6d4aead4a360b67c7ad66"
+ENSEMBLE_PREDICTION_DIGEST = "253c84d8fac8067b9d814b857ba4467052d1500fe73730ef9910279da43245be"
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from kernelcast.modelsel import (Configuration, SearchError,
                                  enumerate_grid, evaluate_config,
                                  fit_pipeline, grid_search, kms_fit,
                                  kms_predict, pipeline_predict, prepare_folds,
-                                 random_search)
+                                 random_search, stage_digest)
 from kernelcast.serialize import from_json, to_json
 from synthdata import make_blobs, random_dataset
 
@@ -343,6 +343,110 @@ def test_evaluate_config_propagates_failures():
     cfg = knn_config(k_references=64)
     with pytest.raises(Exception):
         evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), seed=0)
+
+
+# --------------------------------------------------------------- stages
+
+STAGE_FIELDS = ("k_references", "sampler", "sampling_distance", "ref_type", "scaler")
+
+
+def test_stage_digest_hashes_the_reference_stage_fields_only():
+    for cfg in enumerate_grid("standardize")[::11]:
+        fields = {name: getattr(cfg, name) for name in STAGE_FIELDS}
+        blob = json.dumps(fields, sort_keys=True).encode("utf-8")
+        assert stage_digest(cfg) == int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    grid = enumerate_grid()
+    assert len({stage_digest(c) for c in grid}) == 65
+    assert len({stage_digest(c) for c in grid + enumerate_grid("standardize")}) == 130
+    cfg = knn_config()
+    assert stage_digest(cfg) == stage_digest(knn_config(kernel="cauchy", classifier="gnb",
+                                                        knn=None))
+    for field, value in (("k_references", 8), ("sampler", "fft"), ("ref_type", "centroids"),
+                         ("sampling_distance", "angle"), ("scaler", "standardize")):
+        assert stage_digest(knn_config(**{field: value})) != stage_digest(cfg), field
+
+
+def outcome_by_config(report):
+    return {e.config: (e.cv_ber, e.error) for e in report.entries}
+
+
+def test_random_search_entries_equal_their_grid_search_entries(monkeypatch):
+    # 30 rows: folds train on 20, so the k = 32 and 64 stages fail and the rest score.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+    ds = make_blobs(n_per_class=15, spread=0.8, gap=2.0, seed=17)
+    grid = outcome_by_config(grid_search(ds, fold_count=3, seed=4, sampler_filter="random"))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KERNELCAST_THREADS", threads)
+        report = random_search(ds, sample_size=40, fold_count=3, seed=4,
+                               sampler_filter="random")
+        assert len({stage_digest(e.config) for e in report.entries}) >= 10
+        assert any(e.error is None for e in report.entries)
+        assert any(e.error is not None for e in report.entries)
+        assert [(e.cv_ber, e.error) for e in report.entries] == (
+            [grid[e.config] for e in report.entries]), threads
+
+
+def test_search_samples_each_stage_once_per_fold(monkeypatch):
+    calls = []
+    sample = modelsel.make_reference_set
+
+    def counted(*args):
+        calls.append(args[1:6])
+        return sample(*args)
+
+    monkeypatch.setattr(modelsel, "make_reference_set", counted)
+    ds = make_blobs(n_per_class=60, spread=0.3, seed=18)
+    report = random_search(ds, sample_size=30, fold_count=3, seed=2)
+    stages = {stage_digest(e.config) for e in report.entries}
+    assert all(e.error is None for e in report.entries)
+    assert len(calls) == 3 * len(stages) < 3 * len(report.entries)
+
+
+def test_failing_stage_fails_every_configuration_with_one_message():
+    # 30 rows, 3 folds: k-means cannot place 64 centroids on 20 training rows.
+    ds = make_blobs(n_per_class=15, spread=0.3, seed=7)
+    report = grid_search(ds, fold_count=3, seed=0, sampler_filter="kmeans")
+    by_stage = {}
+    for e in report.entries:
+        by_stage.setdefault(stage_digest(e.config), []).append(e)
+    failed = [entries for entries in by_stage.values()
+              if any(e.error is not None for e in entries)]
+    scored = [entries for entries in by_stage.values()
+              if all(e.error is None and np.isfinite(e.cv_ber) for e in entries)]
+    assert failed and scored and len(failed) + len(scored) == len(by_stage)
+    for entries in failed:
+        assert len(entries) == 68
+        assert len({e.error for e in entries}) == 1
+        assert all(e.cv_ber == float("inf") for e in entries)
+    assert any(entries[0].config.k_references == 64 for entries in failed)
+
+
+def test_kms_fit_shares_references_across_a_stage():
+    ds = make_blobs(n_per_class=30, spread=0.4, seed=19)
+    for sampler in ("random", "density", "fft"):
+        a = kms_fit(knn_config(sampler=sampler, k_references=8), ds, seed=23)
+        b = kms_fit(knn_config(sampler=sampler, k_references=8, kernel="cauchy",
+                               classifier="gnb", knn=None), ds, seed=23)
+        assert a.refs.refs.tobytes() == b.refs.refs.tobytes()
+        assert a.refs.sigmas.tobytes() == b.refs.sigmas.tobytes()
+        c = kms_fit(knn_config(sampler=sampler, k_references=8, ref_type="centroids"), ds,
+                    seed=23)
+        assert c.refs.refs.tobytes() != a.refs.refs.tobytes()
+
+
+def test_evaluate_config_samples_the_stage_as_the_search_does():
+    ds = make_blobs(n_per_class=20, spread=0.9, gap=2.0, seed=20)
+    report = random_search(ds, sample_size=12, fold_count=3, seed=8)
+    folds = prepare_folds(ds, report.fold_of, "none")
+    assert any(e.error is None for e in report.entries)
+    assert any(e.error is not None for e in report.entries)
+    for e in report.entries:
+        if e.error is None:
+            assert evaluate_config(e.config, folds, seed=8) == e.cv_ber
+        else:
+            with pytest.raises(ValueError) as failure:
+                evaluate_config(e.config, folds, seed=8)
+            assert str(failure.value) == e.error
 
 
 # ------------------------------------------------------------ kms model
