@@ -366,15 +366,12 @@ def test_stage_digest_hashes_the_reference_stage_fields_only():
         assert stage_digest(knn_config(**{field: value})) != stage_digest(cfg), field
 
 
-def outcome_by_config(report):
-    return {e.config: (e.cv_ber, e.error) for e in report.entries}
-
-
 def test_random_search_entries_equal_their_grid_search_entries(monkeypatch):
     # 30 rows: folds train on 20, so the k = 32 and 64 stages fail and the rest score.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     ds = make_blobs(n_per_class=15, spread=0.8, gap=2.0, seed=17)
-    grid = outcome_by_config(grid_search(ds, fold_count=3, seed=4, sampler_filter="random"))
+    grid = {e.config: (e.cv_ber, e.error)
+            for e in grid_search(ds, fold_count=3, seed=4, sampler_filter="random").entries}
     for threads in ("1", "2"):
         monkeypatch.setenv("KERNELCAST_THREADS", threads)
         report = random_search(ds, sample_size=40, fold_count=3, seed=4,
@@ -391,7 +388,7 @@ def test_search_samples_each_stage_once_per_fold(monkeypatch):
     sample = modelsel.make_reference_set
 
     def counted(*args):
-        calls.append(args[1:6])
+        calls.append(args)
         return sample(*args)
 
     monkeypatch.setattr(modelsel, "make_reference_set", counted)
