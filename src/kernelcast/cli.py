@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 
@@ -140,7 +141,9 @@ def cmd_predict(args) -> int:
     serialize.write_text(args.out, "".join([lines[i] for i in predicted.tolist()]))
     if args.dump_mapped is not None:
         mapped = map_matrix(model.scaler.transform(features), model.refs, model.config.kernel)
-        np.savetxt(args.dump_mapped, mapped, delimiter=",")
+        text = io.StringIO()
+        np.savetxt(text, mapped, delimiter=",")
+        serialize.write_text(args.dump_mapped, text.getvalue())
     print(f"wrote {len(predicted)} predictions -> {args.out}")
     if truth is not None:
         ber = balanced_error_rate(truth, predicted, len(names))
@@ -275,7 +278,7 @@ def cmd_benchmark(args) -> int:
         "ranks": {"per_dataset": per_dataset_ranks, "average": average},
         "method_order": method_order,
     }
-    serialize.write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    serialize.write_text(args.out, serialize.dumps(doc))
     print("method order by average rank: " + ", ".join(method_order))
     print(f"wrote benchmark report -> {args.out}")
     return 0

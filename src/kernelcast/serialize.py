@@ -3,6 +3,12 @@
 Every document carries ``version`` and ``kind``.  Matrices serialize as
 row-major nested lists; non-finite scores (failed configurations, unknown
 cv_ber) serialize as null.
+
+A document's text is exactly that of ``json.dumps(doc, sort_keys=True,
+indent=2)`` plus a final newline.  ``dumps`` writes it without the stdlib's
+pure-Python indenting encoder, which spends a generator frame on every value:
+matrices stay float64 arrays until then, and each finite row is rendered in
+bulk, as one join of the ``float.__repr__`` strings that ``json`` writes.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,8 +34,8 @@ class FormatError(ValueError):
     """Unrecognized or malformed document."""
 
 
-def _matrix(a) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
+def _matrix(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64)
 
 
 def _score(value: float | None) -> float | None:
@@ -279,12 +286,64 @@ _READERS = {
 }
 
 
+def _floats(values: list, depth: int, pad: str) -> str:
+    """Nested lists of finite floats, ``depth`` deep, as ``json`` indents them."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    if depth == 1:
+        items = map(float.__repr__, values)
+    else:
+        items = [_floats(v, depth - 1, inner) for v in values]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, also for arrays.
+
+    ``pad`` is a newline plus the indent of the line ``value`` starts on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return _floats(value.tolist(), value.ndim, pad)
+        value = value.tolist()
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # json writes int, float, bool and None keys as their JSON text, quoted
+        items = [encode_basestring_ascii(k if isinstance(k, str) else _dumps(k)) + ": "
+                 + _dumps(v, inner) for k, v in sorted(value.items())]
+        opening, closing = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + pad + closing
+
+
+def dumps(doc) -> str:
+    """A JSON document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` writes it."""
+    return _dumps(doc) + "\n"
+
+
 def to_json(obj) -> str:
     """Serialize a model, ensemble, or report deterministically."""
     writer = _WRITERS.get(type(obj))
     if writer is None:
         raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
-    return json.dumps(writer(obj), sort_keys=True, indent=2) + "\n"
+    return dumps(writer(obj))
 
 
 def from_json(text: str):

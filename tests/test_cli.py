@@ -8,6 +8,9 @@ import pytest
 
 from kernelcast.cli import (BENCHMARK_METHODS, _parse_method, main,
                            rank_with_mid_ties)
+from kernelcast.data import load_csv
+from kernelcast.kernelmap import map_matrix
+from kernelcast.serialize import load
 from synthdata import make_blobs, write_labeled_csv
 
 
@@ -408,3 +411,30 @@ def test_failed_output_write_keeps_previous_file(workdir, tmp_path, monkeypatch,
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == before
     assert [p.name for p in out.parent.iterdir()] == ["result"]
+
+
+def test_failed_dump_mapped_write_keeps_previous_file(workdir, tmp_path, monkeypatch, capsys):
+    # Only writes into out/ fail, so the predictions are written and the dump is reached.
+    argv = output_argv("predict", workdir, tmp_path) + ["--out", str(tmp_path / "pred.txt")]
+    mapped = tmp_path / "out" / "mapped.csv"
+    mapped.parent.mkdir()
+    assert main([*argv, "--dump-mapped", str(mapped)]) == 0
+    before = mapped.read_bytes()
+    model = load(tmp_path / "model.json")
+    features = load_csv(workdir / "holdout.csv", label_column=-1).features
+    np.savetxt(tmp_path / "savetxt.csv", delimiter=",",
+               X=map_matrix(model.scaler.transform(features), model.refs, model.config.kernel))
+    assert before == (tmp_path / "savetxt.csv").read_bytes()
+    real_open = builtins.open
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        failing = mode.startswith("w") and Path(file).parent == mapped.parent
+        return HalfWritten(fh) if failing else fh
+
+    monkeypatch.setattr(builtins, "open", disk_full_open)
+    assert main([*argv, "--dump-mapped", str(mapped)]) == 1
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert mapped.read_bytes() == before
+    assert [p.name for p in mapped.parent.iterdir()] == ["mapped.csv"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,8 +8,8 @@ import pytest
 from kernelcast.classify import KnnParams
 from kernelcast.ensemble import Ensemble, build_ensemble, ensemble_predict
 from kernelcast.modelsel import Configuration, kms_fit, random_search
-from kernelcast.serialize import (FormatError, from_json, load, save,
-                                  to_json)
+from kernelcast.serialize import (FormatError, dumps, ensemble_to_doc, from_json,
+                                  kms_to_doc, load, report_to_doc, save, to_json)
 from synthdata import make_blobs
 
 
@@ -375,3 +376,62 @@ def test_malformed_structure_raises_format_error_naming_the_kind(trained, kind, 
     edit(doc)
     with pytest.raises(FormatError, match=f"^{kind} document is malformed: "):
         from_json(json.dumps(doc))
+
+
+def stdlib_text(doc):
+    """What ``json.dumps`` writes for ``doc`` once its arrays are plain lists."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return type(value)(map(plain, value))
+        return value
+    return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+ODD_NAMES = ["caf\u00e9 \u2603", "tab\tbell\x07 nul\x00", 'quote" back\\slash /']
+
+
+@pytest.mark.parametrize("kind", ["knn_model", "gnb_model", "ensemble", "search_report"])
+def test_documents_are_the_stdlib_text(trained, kind):
+    ds, report, ens = trained
+    if kind == "ensemble":
+        obj, doc = ens, ensemble_to_doc(ens)
+    elif kind == "search_report":
+        obj, doc = report, report_to_doc(report)
+    else:
+        classifier = kind.split("_")[0]
+        knn = KnnParams(3, "distance", "angle") if classifier == "knn" else None
+        cfg = Configuration(4, "euclidean", "fft", "cauchy", "centers", classifier, knn)
+        obj = kms_fit(cfg, dataclasses.replace(ds, label_names=ODD_NAMES[:2]), 0)
+        doc = kms_to_doc(obj)
+    assert to_json(obj) == stdlib_text(doc)
+
+
+# Where float repr switches notation (1e-05, 0.0001, 1e+16), signed zero,
+# subnormals and the extremes of float64
+FLOATS = [0.0, -0.0, 1e-5, 1e-4, 0.00012345, 1e16, 9999999999999998.0, 1.5e300,
+          5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308,
+          -2.5, 0.1 + 0.2]
+HAND_BUILT = {
+    "finite": {"list": FLOATS, "vector": np.array(FLOATS),
+               "matrix": np.array(FLOATS).reshape(2, 7), "numpy_scalar": np.float64(0.1)},
+    "non_finite": {"scalars": [float("nan"), float("inf"), -float("inf")],
+                   "vector": np.array([1.0, float("nan"), 5e-324]),
+                   "matrix": np.array([[1e16, float("inf")], [-float("inf"), -0.0]])},
+    "empty": {"vector": np.zeros(0), "no_columns": np.zeros((3, 0)), "no_rows": np.zeros((0, 4)),
+              "list": [], "dict": {}, "nested": [[], {}, (), [[]]]},
+    "strings": {"label_names": ODD_NAMES, "caf\u00e9 key": "\x1f\x7f\u0080\U0001f600",
+                "": ""},
+    "tuples": {"shape": (3, 0, 2), "pairs": [(1, "a"), (np.zeros(2), None)],
+               "mixed": (None, True, False, 7, -3, 2 ** 70)},
+    "keys": {"ints": {10: "a", 2: "b"}, "floats": {1e-5: 1, 0.5: 2}, "constants": {True: 1, False: 0},
+             "none": {None: []}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_documents_are_the_stdlib_text(name):
+    assert dumps(HAND_BUILT[name]) == stdlib_text(HAND_BUILT[name])
