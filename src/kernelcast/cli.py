@@ -95,8 +95,11 @@ def cmd_train(args) -> int:
     if args.config is not None:
         if args.ensemble_size:
             raise CliError("--ensemble-size requires --report (ensembles come from a search)")
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CliError(f"{args.config}: not a JSON document: {exc}") from None
         try:
             cfg = Configuration.from_dict(doc)
         except KeyError as exc:

@@ -1,4 +1,10 @@
-"""Dataset ingestion, label encoding, stratified splitting, and feature scaling."""
+"""Dataset ingestion, label encoding, stratified splitting, and feature scaling.
+
+CSV files are read by one of two readers that give the same values.  A file
+without quotes, NUL bytes or over-long lines is parsed by one ``np.loadtxt``
+pass (``_read_plain``); any other file, and any file the C reader refuses,
+goes through ``csv.reader`` in blocks, which also writes every error report.
+"""
 
 from __future__ import annotations
 
@@ -87,6 +93,11 @@ def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[
     return ids, names
 
 
+def _check_header(path, header: list[str] | None, width: int) -> None:
+    if header is not None and len(header) != width:
+        raise DataError(f"{path}: the header has {len(header)} cells but the data rows have {width}")
+
+
 def _resolve_column(path, label_column, header: list[str] | None, width: int) -> int:
     if width < 2:
         raise DataError(f"{path}: need at least one feature column plus the label column")
@@ -100,7 +111,10 @@ def _resolve_column(path, label_column, header: list[str] | None, width: int) ->
                 ) from None
             if label_column not in header:
                 raise DataError(f"label column {label_column!r} not found in header") from None
-            return header.index(label_column)
+            idx = header.index(label_column)
+            if idx >= width:  # a header longer than the rows names no column of theirs
+                _check_header(path, header, width)
+            return idx
     idx = int(label_column)
     if idx < 0:
         idx += width
@@ -136,11 +150,89 @@ def _walk_block(path, block, width: int, label_idx: int | None) -> np.ndarray:
     return np.reshape(values, (len(block), -1))
 
 
+_SCAN_BYTES = 1 << 16  # bytes per read of the quote/NUL/line-length scan
+
+
+def _plain_text(path) -> bool:
+    """Whether ``path`` holds no quote, no NUL and no line the csv tokenizer would refuse.
+
+    Line lengths count bytes between ``\\n`` bytes, an upper bound on any cell's
+    characters, so a file whose cells all fit ``csv.field_size_limit()`` may still
+    be declined; one that passes has no cell over the limit.
+    """
+    limit = csv.field_size_limit()
+    run = 0  # bytes since the last newline
+    with open(path, "rb") as fh:
+        # A line wholly inside one chunk is shorter than the limit; only one that
+        # runs across chunks can reach it.
+        while chunk := fh.read(max(1, min(limit, _SCAN_BYTES))):
+            if b'"' in chunk or b"\0" in chunk:
+                return False
+            cut = chunk.find(b"\n")
+            if run + (len(chunk) if cut < 0 else cut) >= limit:
+                return False
+            run = run + len(chunk) if cut < 0 else len(chunk) - 1 - chunk.rfind(b"\n")
+    return True
+
+
+def _next_line(fh) -> str:
+    """The next line that is not blank; empty at the end of the file."""
+    line = fh.readline()
+    while line == "\n":
+        line = fh.readline()
+    return line
+
+
+def _read_plain(path, has_header: bool, label_column=None):
+    """``_read_csv``'s result from one ``np.loadtxt`` pass over a file without quotes.
+
+    Returns None, or raises ValueError (numpy's reader, the UTF-8 decoder, the
+    header and label column checks), for a file it cannot read exactly as
+    ``csv.reader`` and ``float(cell.strip())`` do: one that ``_plain_text``
+    refuses, that lacks the rows ``_read_csv`` needs, or holds a non-finite value.
+    """
+    if not _plain_text(path):
+        return None
+    # Universal newlines split lines where csv.reader does: without quotes a
+    # row is its line split at commas.
+    with open(path, encoding="utf-8-sig") as fh:
+        header = _next_line(fh).rstrip("\n").split(",") if has_header else None
+        start = fh.tell()
+        first = _next_line(fh)
+        if not first:
+            return None
+        width = first.count(",") + 1
+        _check_header(path, header, width)
+        label_idx = None if label_column is None else _resolve_column(path, label_column, header, width)
+        fh.seek(start)
+        if label_idx is None:
+            features, raw_labels = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2), []
+        else:
+            names = [f"c{j}" for j in range(width)]
+            dtype = [(name, object if j == label_idx else np.float64) for j, name in enumerate(names)]
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            if table.size < 2:
+                return None
+            label = names.pop(label_idx)
+            raw_labels = [cell.strip() for cell in table[label].tolist()]
+            features = np.column_stack([table[name] for name in names])
+    if not np.isfinite(features).all():
+        return None
+    return features, raw_labels
+
+
 def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, list[str]]:
-    """Feature matrix and stripped label cells of a CSV file, read in one pass.
+    """Feature matrix and stripped label cells of a CSV file.
 
     With ``label_column`` None every column is a feature.  Blank rows are skipped.
+    ``_read_plain`` reads the file where it can; otherwise ``csv.reader`` does, in blocks.
     """
+    try:
+        parsed = _read_plain(path, has_header, label_column)
+    except ValueError:
+        parsed = None
+    if parsed is not None:
+        return parsed
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -173,6 +265,7 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
         raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    _check_header(path, header, width)  # after the rows, so a ragged row is reported first
     return np.concatenate(chunks), raw_labels
 
 

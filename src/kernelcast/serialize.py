@@ -388,5 +388,9 @@ def save(obj, path) -> None:
 
 
 def load(path):
+    """Read a document; a file that is not JSON text raises FormatError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return from_json(fh.read())
+        try:
+            return from_json(fh.read())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: not a JSON document: {exc}") from None

@@ -195,6 +195,18 @@ def test_train_config_malformed_document_is_named(workdir, tmp_path, capsys, doc
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["predict --model", "train --report", "train --config"])
+def test_document_that_is_not_json_is_named(workdir, tmp_path, capsys, command):
+    doc, out = tmp_path / "doc.json", tmp_path / "out.json"
+    doc.write_text("not json\n")
+    name, flag = command.split()
+    data = workdir / ("holdout.csv" if name == "predict" else "train.csv")
+    assert main([name, flag, str(doc), "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {doc}: not a JSON document: Expecting value: line 1 column 1 (char 0)\n"
+    assert not out.exists()
+
+
 def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, capsys):
     model = tmp_path / "ens.json"
     assert main(["train", "--data", str(workdir / "train.csv"),

@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import math
 import os
@@ -535,3 +536,216 @@ def test_peak_memory_stays_near_the_matrix(tmp_path, labeled):
         tracemalloc.stop()
     assert np.array_equal(got, matrix)
     assert peak < 4 * got.nbytes, peak / got.nbytes
+
+
+# --- The two readers: numpy's C reader for plain files, csv.reader for the rest --
+
+def decline_plain(monkeypatch):
+    """Send every file through the csv.reader path."""
+    monkeypatch.setattr(data, "_read_plain", lambda *args: None)
+
+
+def read_outcome(path, label_column, has_header):
+    """(features, label strings) of a file, or the DataError it raises."""
+    try:
+        if label_column is None:
+            return data.load_feature_csv(path, has_header=has_header), []
+        ds = load_csv(path, label_column=label_column, has_header=has_header)
+        return ds.features, [ds.label_names[i] for i in ds.labels]
+    except DataError as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected, context):
+    if isinstance(expected, DataError):
+        assert isinstance(got, DataError), (context, expected)
+        assert str(got) == str(expected), context
+    else:
+        assert not isinstance(got, DataError), (context, got)
+        assert got[0].shape == expected[0].shape, context
+        assert np.array_equal(got[0].view(np.int64), expected[0].view(np.int64)), context
+        assert got[1] == expected[1], context
+
+
+def oracle_read(path, text, label_column, has_header):
+    """The reference reader's outcome, with the width and header checks ``_read_csv`` makes."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [row for row in reader if row]
+    header = rows.pop(0) if has_header else None
+    width = len(rows[0])
+    label_idx = label_column
+    if isinstance(label_column, str):
+        label_idx = header.index(label_column)
+    header_error = DataError(f"{path}: the header has {len(header or ())} cells but the data rows have {width}")
+    try:
+        if label_column is not None and width < 2:
+            raise DataError(f"{path}: need at least one feature column plus the label column")
+        if isinstance(label_column, str) and label_idx >= width:
+            raise header_error
+        if label_column is not None and label_idx >= width:
+            raise DataError(f"label column index {label_column} out of range for {width} columns")
+        parsed = oracle_parse(path, text, label_idx, has_header)
+        if header is not None and len(header) != width:
+            raise header_error
+        return parsed
+    except DataError as exc:
+        return exc
+
+
+def random_csv_layout(rng, labeled):
+    """CSV text with CRLF or LF line ends, blank lines before any header, the label
+    column first, in the middle or last, and sometimes exactly two data rows."""
+    width = int(rng.integers(2, 6))
+    label_idx = int(rng.choice([0, width // 2, width - 1])) if labeled else None
+    has_header = bool(rng.integers(2))
+    bad_rate = [0.0, 0.0, 0.01, 0.05][rng.integers(4)]
+    end = ["\n", "\r\n"][rng.integers(2)]
+    lines = [""] * int(rng.integers(3))
+    if has_header:
+        lines.append(",".join(f"c{j}" for j in range(width)))
+    n_rows = 2 if rng.random() < 0.3 else int(rng.integers(2, 14))
+    for i in range(n_rows):
+        cells = [random_cell(rng, bad_rate) if rng.random() < 0.2 else repr(float(rng.normal()))
+                 for _ in range(width)]
+        if label_idx is not None:
+            cells[label_idx] = [" a", "b ", "c"][i % 3]
+        if rng.random() < bad_rate:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        if rng.random() < 0.02:
+            cells[-1] += "#x"  # a cell, not a comment
+        lines.append(",".join(cells))
+        if rng.random() < 0.1:
+            lines.append("")
+    return end.join(lines) + end, label_idx, has_header
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["load_csv", "load_feature_csv"])
+def test_fuzz_both_readers_match_the_oracle(tmp_path, monkeypatch, labeled):
+    rng = np.random.default_rng(20261019 + labeled)
+    took_numpy = []
+    read_plain = data._read_plain
+    outcomes = set()
+    for case in range(300):
+        text, label_idx, has_header = random_csv_layout(rng, labeled)
+        path = tmp_path / f"fuzz{case}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        path = str(path)
+        column = f"c{label_idx}" if labeled and has_header and case % 2 else label_idx
+        expected = oracle_read(path, text, column, has_header)
+        monkeypatch.setattr(data, "_read_plain", lambda *args: took_numpy.append(read_plain(*args)) or took_numpy[-1])
+        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
+        decline_plain(monkeypatch)
+        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
+        outcomes.add("rejected" if isinstance(expected, DataError) else "parsed")
+    assert outcomes == {"parsed", "rejected"}
+    assert sum(result is not None for result in took_numpy) > 100
+
+
+@pytest.mark.parametrize("text,route,expected", [
+    ("1_0,2,a\n3,4,b\n", "csv", [[10.0, 2.0], [3.0, 4.0]]),
+    ("١٢,2,a\n3,4,b\n", "csv", [[12.0, 2.0], [3.0, 4.0]]),
+    ("\x1c3\x1f,2,a\n3,4,b\n", "numpy", [[3.0, 2.0], [3.0, 4.0]]),
+    ("1e500,2,a\n3,4,b\n", "csv", "non-finite value '1e500' at line 1, column 1"),
+    ("﻿1,2,a\n3,4,b\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ('"1",2,a\n3,"4",b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2,"a"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,a\r\n\r\n3,4,b\r\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,#a\n3,4,b\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,a\n  \n3,4,b\n", "csv", "line 2 has 1 cells, expected 3"),
+    ("1,,a\n3,4,b\n", "csv", "cannot parse '' as a number at line 1, column 2"),
+], ids=["underscore", "arabic-digits", "separators", "overflow", "byte-order-mark", "quoted",
+        "quoted-label", "crlf", "hash", "whitespace-row", "empty-cell"])
+def test_reader_route_and_result(tmp_path, monkeypatch, text, route, expected):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    path = str(path)
+    try:
+        plain = data._read_plain(path, False, -1)
+    except ValueError:
+        plain = None
+    assert (plain is not None) == (route == "numpy")
+    outcomes = [read_outcome(path, -1, False)]
+    decline_plain(monkeypatch)
+    outcomes.append(read_outcome(path, -1, False))
+    for got in outcomes:
+        if isinstance(expected, str):
+            assert isinstance(got, DataError) and expected in str(got)
+        else:
+            assert got[0].tolist() == expected
+    assert_same_outcome(outcomes[0], outcomes[1], text)
+
+
+@pytest.mark.parametrize("loader", [load_csv, data.load_feature_csv], ids=["load_csv", "load_feature_csv"])
+def test_finite_cell_over_the_field_limit_is_refused(tmp_path, loader):
+    # 0.000...01 parses to a finite number, so only the field limit can refuse it.
+    path = write(tmp_path, "1,2,a\n3,0." + "0" * 140_000 + "1,b\n5,6,a\n")
+    assert not data._plain_text(path)
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: line 2: field larger than field limit"):
+        loader(path)
+
+
+def test_nul_byte_goes_to_the_csv_reader(tmp_path):
+    # Python 3.10's csv.reader refuses a NUL; numpy's reader would keep it in the label.
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"1,2,a\0\n3,4,b\n")
+    assert not data._plain_text(str(path))
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["numpy", "csv"])
+def test_feature_file_with_one_data_row(tmp_path, monkeypatch, plain):
+    path = write(tmp_path, "x,y,z\n\n1.5,-2,3e-3\n")
+    if not plain:
+        decline_plain(monkeypatch)
+    got = data.load_feature_csv(path, has_header=True)
+    assert got.tolist() == [[1.5, -2.0, 0.003]] and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("plain", [True, False], ids=["numpy", "csv"])
+def test_header_width_must_match_the_rows(tmp_path, monkeypatch, plain):
+    if not plain:
+        decline_plain(monkeypatch)
+    shorter = write(tmp_path, "x,species\n1,2,0\n3,4,1\n5,6,0\n7,8,1\n", name="shorter.csv")
+    message = f"^{re.escape(shorter)}: the header has 2 cells but the data rows have 3$"
+    with pytest.raises(DataError, match=message):
+        load_csv(shorter, label_column="species", has_header=True)
+    with pytest.raises(DataError, match=message):
+        load_csv(shorter, label_column=-1, has_header=True)
+    with pytest.raises(DataError, match=message):
+        data.load_feature_csv(shorter, has_header=True)
+    longer = write(tmp_path, "x,y,z,species\n1,2,a\n3,4,b\n", name="longer.csv")
+    with pytest.raises(DataError, match=f"^{re.escape(longer)}: the header has 4 cells but the data rows have 3$"):
+        load_csv(longer, label_column="species", has_header=True)
+
+
+def hard_number_strings(rng, count):
+    """Decimal strings where a correctly rounded parse is easy to get wrong."""
+    exact = decimal.Context(prec=800)
+    out = ["-0", "-0.0", "+0e5", "0e-400", "1e-400", "-1e-400", "5e-324", "2.4703282292062328e-324",
+           "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+           "9007199254740993", "0.1", "0.30000000000000004"]
+    while len(out) < count:
+        kind = rng.integers(4)
+        bits = rng.integers(1, 0x7FEFFFFFFFFFFFFF, dtype=np.int64)
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(17, 60)))))
+        if kind == 0:  # halfway between two neighbouring doubles, and just either side of it
+            a = float(np.int64(bits).view(np.float64))
+            mid = str(exact.divide(exact.add(decimal.Decimal(a), decimal.Decimal(np.nextafter(a, np.inf))), 2))
+            fraction = "." in mid and "E" not in mid
+            out.append(mid + ["", "0001", "9999"][rng.integers(3)] * fraction)
+        elif kind == 1:  # long mantissas
+            out.append(f"{'-' * int(rng.integers(2))}{digits[0]}.{digits[1:]}e{int(rng.integers(-330, 290))}")
+        elif kind == 2:  # subnormals, and values that round to zero
+            out.append(f"{digits[0]}.{digits[1:]}e-{int(rng.integers(308, 330))}")
+        else:  # shortest repr of a random double
+            out.append(repr(float(np.int64(bits).view(np.float64))))
+    return out
+
+
+def test_numpy_reader_matches_float_bit_for_bit(tmp_path):
+    strings = hard_number_strings(np.random.default_rng(20261019), 20_000)
+    width = 10
+    path = write(tmp_path, "".join(",".join(strings[i:i + width]) + "\n" for i in range(0, len(strings), width)))
+    plain = data._read_plain(path, False)
+    assert plain is not None
+    expected = np.array([float(s) for s in strings]).reshape(-1, width)
+    assert np.array_equal(plain[0].view(np.int64), expected.view(np.int64))
