@@ -139,6 +139,9 @@ def cmd_predict(args) -> int:
         features, truth = queries.features, queries.labels
     else:
         features = load_feature_csv(args.data, has_header=args.has_header)
+    width = (model.members[0] if isinstance(model, Ensemble) else model).scaler.offset.shape[0]
+    if features.shape[1] != width:
+        raise CliError(f"{args.data}: rows have {features.shape[1]} features, the model takes {width}")
     predicted = _predict(model, features)
     lines = [name + "\n" for name in names]
     serialize.write_text(args.out, "".join([lines[i] for i in predicted.tolist()]))
@@ -192,14 +195,22 @@ def _cell_seed(master: int, name: str, split: int, mode: str, flt: str | None) -
 
 
 def _load_manifest(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    datasets = doc.get("datasets")
+    """The manifest's dataset entries, each checked before any CSV is read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"{path}: not a JSON document: {exc}") from None
+    datasets = doc.get("datasets") if isinstance(doc, dict) else None
     if not isinstance(datasets, list) or not datasets:
-        raise CliError("manifest must contain a non-empty 'datasets' list")
+        raise CliError(f"{path}: manifest must contain a non-empty 'datasets' list")
     for entry in datasets:
-        if "name" not in entry or not entry.get("splits"):
-            raise CliError("every manifest dataset needs a name and a non-empty 'splits' list")
+        splits = entry.get("splits") if isinstance(entry, dict) else None
+        if not isinstance(splits, list) or not splits or not isinstance(entry.get("name"), str):
+            raise CliError(f"{path}: every manifest dataset needs a name and a non-empty 'splits' list")
+        for split in splits:
+            if not (isinstance(split, dict) and all(isinstance(split.get(key), str) for key in ("train", "test"))):
+                raise CliError(f"{path}: every split needs 'train' and 'test' file paths")
     return datasets
 
 

@@ -1,9 +1,10 @@
 """Dataset ingestion, label encoding, stratified splitting, and feature scaling.
 
-CSV files are read by one of two readers that give the same values.  A file
-without quotes, NUL bytes or over-long lines is parsed by one ``np.loadtxt``
-pass (``_read_plain``); any other file, and any file the C reader refuses,
-goes through ``csv.reader`` in blocks, which also writes every error report.
+CSV files are opened by ``csv.reader``, which reads the header and the first
+block of rows and runs every check.  The rows of a file without quotes, NUL
+bytes or over-long lines are then converted by one ``np.loadtxt`` pass
+(``_read_plain``); any other file, and any file the C reader refuses, stays
+on ``csv.reader`` in blocks, which also writes every error report.
 """
 
 from __future__ import annotations
@@ -80,16 +81,12 @@ def encode_labels(raw: list[str], vocabulary: list[str] | None = None) -> tuple[
     Without a vocabulary, ids are assigned in order of first appearance.
     With one, unseen labels are an error.
     """
-    names = [] if vocabulary is None else list(vocabulary)
+    names = list(dict.fromkeys(raw) if vocabulary is None else vocabulary)
     index = {name: i for i, name in enumerate(names)}
-    ids = np.empty(len(raw), dtype=np.int64)
-    for i, name in enumerate(raw):
-        if name not in index:
-            if vocabulary is not None:
-                raise DataError(f"label {name!r} not in the model vocabulary")
-            index[name] = len(names)
-            names.append(name)
-        ids[i] = index[name]
+    try:
+        ids = np.array([index[name] for name in raw], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"label {exc.args[0]!r} not in the model vocabulary") from None
     return ids, names
 
 
@@ -175,47 +172,31 @@ def _plain_text(path) -> bool:
     return True
 
 
-def _next_line(fh) -> str:
-    """The next line that is not blank; empty at the end of the file."""
-    line = fh.readline()
-    while line == "\n":
-        line = fh.readline()
-    return line
+def _read_plain(path, skip: int, width: int, label_idx: int | None):
+    """The data rows after line ``skip`` of ``path``, from one ``np.loadtxt`` pass.
 
-
-def _read_plain(path, has_header: bool, label_column=None):
-    """``_read_csv``'s result from one ``np.loadtxt`` pass over a file without quotes.
-
-    Returns None, or raises ValueError (numpy's reader, the UTF-8 decoder, the
-    header and label column checks), for a file it cannot read exactly as
+    Returns ``_read_csv``'s result, or None for a file it cannot read exactly as
     ``csv.reader`` and ``float(cell.strip())`` do: one that ``_plain_text``
-    refuses, that lacks the rows ``_read_csv`` needs, or holds a non-finite value.
+    refuses, that numpy's reader or the UTF-8 decoder refuses, or that holds a
+    non-finite value.
     """
     if not _plain_text(path):
         return None
-    # Universal newlines split lines where csv.reader does: without quotes a
-    # row is its line split at commas.
-    with open(path, encoding="utf-8-sig") as fh:
-        header = _next_line(fh).rstrip("\n").split(",") if has_header else None
-        start = fh.tell()
-        first = _next_line(fh)
-        if not first:
-            return None
-        width = first.count(",") + 1
-        _check_header(path, header, width)
-        label_idx = None if label_column is None else _resolve_column(path, label_column, header, width)
-        fh.seek(start)
-        if label_idx is None:
-            features, raw_labels = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2), []
-        else:
-            names = [f"c{j}" for j in range(width)]
-            dtype = [(name, object if j == label_idx else np.float64) for j, name in enumerate(names)]
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            if table.size < 2:
-                return None
-            label = names.pop(label_idx)
-            raw_labels = [cell.strip() for cell in table[label].tolist()]
-            features = np.column_stack([table[name] for name in names])
+    try:
+        # Universal newlines split lines where csv.reader does: without quotes a
+        # row is its line split at commas.
+        with open(path, encoding="utf-8-sig") as fh:
+            if label_idx is None:
+                features, raw_labels = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2), []
+            else:
+                names = [f"c{j}" for j in range(width)]
+                dtype = [(name, object if j == label_idx else np.float64) for j, name in enumerate(names)]
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1)
+                label = names.pop(label_idx)
+                raw_labels = [cell.strip() for cell in table[label].tolist()]
+                features = np.column_stack([table[name] for name in names])
+    except ValueError:
+        return None
     if not np.isfinite(features).all():
         return None
     return features, raw_labels
@@ -225,19 +206,16 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
     """Feature matrix and stripped label cells of a CSV file.
 
     With ``label_column`` None every column is a feature.  Blank rows are skipped.
-    ``_read_plain`` reads the file where it can; otherwise ``csv.reader`` does, in blocks.
+    ``csv.reader`` reads the header and the first block, on which every check
+    runs; ``_read_plain`` then converts the rows where it can, and otherwise the
+    block loop goes on with ``csv.reader``.
     """
-    try:
-        parsed = _read_plain(path, has_header, label_column)
-    except ValueError:
-        parsed = None
-    if parsed is not None:
-        return parsed
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = ((row, reader.line_num) for row in reader if row)
             header = next(rows, [None])[0] if has_header else None
+            skip = reader.line_num
             block = list(islice(rows, _BLOCK_ROWS))
             if (has_header and header is None) or (not block and label_column is None):
                 raise DataError(f"{path}: empty file")
@@ -245,28 +223,31 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
                 raise DataError(f"{path}: need at least 2 data rows, found {len(block)}")
             width = len(block[0][0])
             label_idx = None if label_column is None else _resolve_column(path, label_column, header, width)
-            chunks, raw_labels = [], []
-            while block:
-                cells = [row for row, _ in block]
-                try:
-                    if set(map(len, cells)) != {width}:
-                        raise ValueError("ragged row")
-                    if label_idx is not None:
-                        raw_labels += [row[label_idx].strip() for row in cells]
-                        cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
-                    values = np.array(cells, dtype=np.float64)  # float() on each str
-                    if not np.isfinite(values).all():
-                        raise ValueError("non-finite value")
-                except ValueError:
-                    values = _walk_block(path, block, width, label_idx)
-                chunks.append(values)
-                block = list(islice(rows, _BLOCK_ROWS))
+            parsed = _read_plain(path, skip, width, label_idx)
+            if parsed is None:
+                chunks, raw_labels = [], []
+                while block:
+                    cells = [row for row, _ in block]
+                    try:
+                        if set(map(len, cells)) != {width}:
+                            raise ValueError("ragged row")
+                        if label_idx is not None:
+                            raw_labels += [row[label_idx].strip() for row in cells]
+                            cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
+                        values = np.array(cells, dtype=np.float64)  # float() on each str
+                        if not np.isfinite(values).all():
+                            raise ValueError("non-finite value")
+                    except ValueError:
+                        values = _walk_block(path, block, width, label_idx)
+                    chunks.append(values)
+                    block = list(islice(rows, _BLOCK_ROWS))
+                parsed = np.concatenate(chunks), raw_labels
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     _check_header(path, header, width)  # after the rows, so a ragged row is reported first
-    return np.concatenate(chunks), raw_labels
+    return parsed
 
 
 def load_csv(path, label_column=-1, has_header: bool = False,

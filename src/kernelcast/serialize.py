@@ -211,6 +211,10 @@ def ensemble_from_doc(doc: dict) -> Ensemble:
     members = [kms_from_doc(m) for m in doc["members"]]
     if any(m.label_names != members[0].label_names for m in members):
         raise FormatError("ensemble members have different label_names")
+    for i, member in enumerate(members):
+        if member.scaler.offset.shape != members[0].scaler.offset.shape:
+            raise FormatError(f"ensemble member {i} takes {member.scaler.offset.shape[0]} features, "
+                              f"member 0 takes {members[0].scaler.offset.shape[0]}")
     return Ensemble(members, json_int(doc["vote_seed"], "vote_seed"))
 
 

@@ -220,6 +220,20 @@ def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, 
     assert not out.exists() and not mapped.exists()
 
 
+@pytest.mark.parametrize("ensemble_size", [None, "2"], ids=["single", "ensemble"])
+def test_predict_rejects_a_query_width_the_model_does_not_take(workdir, tmp_path, capsys,
+                                                               ensemble_size):
+    model = tmp_path / "model.json"
+    size = [] if ensemble_size is None else ["--ensemble-size", ensemble_size]
+    assert main(["train", "--data", str(workdir / "train.csv"),
+                 "--report", str(workdir / "report.json"), *size, "--out", str(model)]) == 0
+    data, out = tmp_path / "wide.csv", tmp_path / "pred.csv"
+    data.write_text("1,2,3\n4,5,6\n")
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: rows have 3 features, the model takes 2\n"
+    assert not out.exists()
+
+
 def test_train_rejects_report_whose_best_index_is_not_the_best(workdir, tmp_path, capsys):
     doc = json.loads((workdir / "report.json").read_text())
     doc["best_index"] = -1
@@ -305,6 +319,31 @@ def test_benchmark_two_methods(workdir, tmp_path, capsys):
     assert ranks in ([1.0, 2.0], [1.5, 1.5])
     assert sorted(doc["method_order"]) == ["kms-rs", "kmse-rs"]
     assert "method order by average rank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "not a JSON document: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "manifest must contain a non-empty 'datasets' list"),
+    ('{"datasets": []}', "manifest must contain a non-empty 'datasets' list"),
+    ('{"datasets": ["name"]}', "every manifest dataset needs a name and a non-empty 'splits' list"),
+    ('{"datasets": [{"splits": [{"train": "a", "test": "b"}]}]}',
+     "every manifest dataset needs a name and a non-empty 'splits' list"),
+    ('{"datasets": [{"name": "d", "splits": "abc"}]}',
+     "every manifest dataset needs a name and a non-empty 'splits' list"),
+    ('{"datasets": [{"name": "d", "splits": ["a.csv"]}]}', "every split needs 'train' and 'test' file paths"),
+    ('{"datasets": [{"name": "d", "splits": [{"train": "a.csv"}]}]}',
+     "every split needs 'train' and 'test' file paths"),
+    ('{"datasets": [{"name": "d", "splits": [{"train": ["a.csv"], "test": "b.csv"}]}]}',
+     "every split needs 'train' and 'test' file paths"),
+], ids=["not-json", "list", "no-datasets", "string-dataset", "no-name", "string-splits",
+        "string-split", "no-test", "list-train"])
+def test_benchmark_rejects_a_malformed_manifest_naming_it(tmp_path, capsys, text, message):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(text)
+    out = tmp_path / "b.json"
+    assert main(["benchmark", "--manifest", str(mpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {mpath}: {message}")
+    assert not out.exists()
 
 
 def test_benchmark_rejects_unknown_method(workdir, tmp_path, capsys):

@@ -660,7 +660,7 @@ def test_reader_route_and_result(tmp_path, monkeypatch, text, route, expected):
     path.write_bytes(text.encode("utf-8"))
     path = str(path)
     try:
-        plain = data._read_plain(path, False, -1)
+        plain = data._read_plain(path, 0, 3, 2)
     except ValueError:
         plain = None
     assert (plain is not None) == (route == "numpy")
@@ -745,7 +745,57 @@ def test_numpy_reader_matches_float_bit_for_bit(tmp_path):
     strings = hard_number_strings(np.random.default_rng(20261019), 20_000)
     width = 10
     path = write(tmp_path, "".join(",".join(strings[i:i + width]) + "\n" for i in range(0, len(strings), width)))
-    plain = data._read_plain(path, False)
+    plain = data._read_plain(path, 0, 10, None)
     assert plain is not None
     expected = np.array([float(s) for s in strings]).reshape(-1, width)
     assert np.array_equal(plain[0].view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("text,column,message", [
+    ("1,2,a\n", -1, "need at least 2 data rows, found 1"),
+    ("1,2,a\n3,4,b\n", 5, "label column index 5 out of range for 3 columns"),
+    ("1,2,a\n3,4,b\n", "species", "label column 'species' given by name but the file has no header"),
+], ids=["one-row", "index-out-of-range", "name-without-header"])
+def test_first_block_checks_run_before_the_numpy_reader(tmp_path, monkeypatch, text, column, message):
+    calls = []
+    monkeypatch.setattr(data, "_read_plain", lambda *args: calls.append(args))
+    path = write(tmp_path, text)
+    with pytest.raises(DataError, match=message):
+        load_csv(path, label_column=column)
+    assert calls == []
+
+
+def encode_labels_loop(raw, vocabulary=None):
+    """Reference: encode_labels as a loop over the labels."""
+    names = [] if vocabulary is None else list(vocabulary)
+    index = {name: i for i, name in enumerate(names)}
+    ids = np.empty(len(raw), dtype=np.int64)
+    for i, name in enumerate(raw):
+        if name not in index:
+            if vocabulary is not None:
+                raise DataError(f"label {name!r} not in the model vocabulary")
+            index[name] = len(names)
+            names.append(name)
+        ids[i] = index[name]
+    return ids, names
+
+
+def test_encode_labels_matches_the_loop():
+    rng = np.random.default_rng(20261020)
+    pool = ["a", "b", " c", "d'", 'e"', "", "ü"]
+    outcomes = set()
+    for case in range(1000):
+        raw = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 12)))]
+        vocabulary = None
+        if case % 2:
+            vocabulary = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(0, 9)))]
+        results = []
+        for encode in (data.encode_labels, encode_labels_loop):
+            try:
+                ids, names = encode(raw, vocabulary)
+                results.append((ids.dtype, ids.shape, ids.tolist(), names))
+            except DataError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], (raw, vocabulary)
+        outcomes.add(type(results[0]))
+    assert outcomes == {tuple, str}

@@ -248,6 +248,14 @@ def test_rejects_ensemble_members_with_different_label_names(trained):
         from_json(json.dumps(doc))
 
 
+def test_rejects_ensemble_members_of_different_widths(trained):
+    doc = json.loads(to_json(trained[2]))
+    wider = make_blobs(n_per_class=20, spread=0.5, gap=4.0, dim=3, seed=0)
+    doc["members"][2] = model_doc(wider, "gnb")
+    with pytest.raises(FormatError, match="^ensemble member 2 takes 3 features, member 0 takes 2$"):
+        from_json(json.dumps(doc))
+
+
 def report_doc(report, cv_bers, best_index):
     doc = json.loads(to_json(report))
     for entry, cv_ber in zip(doc["evaluated"], cv_bers):
