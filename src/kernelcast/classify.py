@@ -90,15 +90,11 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     feats = np.asarray(queries, dtype=np.float64)
     order, dists = geometry.nearest(model.params.distance, feats, model.features,
                                     model.params.neighbors)
-    rows = np.arange(feats.shape[0])[:, None]
-    votes = model.labels[order]
-    if model.params.weighting == "uniform":
-        weights = np.ones_like(votes, dtype=np.float64)
-    else:
-        weights = 1.0 / (_WEIGHT_EPS + dists)
-    scores = np.zeros((feats.shape[0], model.n_classes))
-    np.add.at(scores, (np.broadcast_to(rows, votes.shape), votes), weights)
-    return np.argmax(scores, axis=1).astype(np.int64)
+    n, c = feats.shape[0], model.n_classes
+    weights = None if model.params.weighting == "uniform" else 1.0 / (_WEIGHT_EPS + dists.ravel())
+    # Sums in row-major neighbour order, as a scatter-add would.
+    scores = np.bincount((np.arange(n)[:, None] * c + model.labels[order]).ravel(), weights, n * c)
+    return np.argmax(scores.reshape(n, c), axis=1).astype(np.int64)
 
 
 def gnb_fit(ds: Dataset) -> GnbModel:

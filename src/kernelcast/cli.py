@@ -211,6 +211,10 @@ def _load_manifest(path) -> list[dict]:
         for split in splits:
             if not (isinstance(split, dict) and all(isinstance(split.get(key), str) for key in ("train", "test"))):
                 raise CliError(f"{path}: every split needs 'train' and 'test' file paths")
+        if not isinstance(entry.get("has_header", False), bool):
+            raise CliError(f"{path}: a dataset's 'has_header' must be true or false")
+        if type(entry.get("label_col", -1)) is not int:  # a bool is no column either
+            raise CliError(f"{path}: a dataset's 'label_col' must be an integer")
     return datasets
 
 
@@ -229,7 +233,7 @@ def cmd_benchmark(args) -> int:
     for entry in datasets:
         name = entry["name"]
         label_col = entry.get("label_col", -1)
-        has_header = bool(entry.get("has_header", False))
+        has_header = entry.get("has_header", False)
         splits = entry["splits"]
         if args.max_splits is not None:
             splits = splits[:args.max_splits]

@@ -68,9 +68,9 @@ def member_votes(ens: Ensemble, features: np.ndarray) -> np.ndarray:
 
 
 def _tally(votes: np.ndarray, n_classes: int, vote_seed: int) -> np.ndarray:
-    counts = np.zeros((votes.shape[1], n_classes), dtype=np.int64)
-    rows = np.broadcast_to(np.arange(votes.shape[1]), votes.shape)
-    np.add.at(counts, (rows, votes), 1)
+    n = votes.shape[1]
+    counts = np.bincount((np.arange(n) * n_classes + votes).ravel(),
+                         minlength=n * n_classes).reshape(n, n_classes)
     winners = np.argmax(counts, axis=1).astype(np.int64)
     top = counts[np.arange(counts.shape[0]), winners]
     tied = (counts == top[:, None]).sum(axis=1) > 1

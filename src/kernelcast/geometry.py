@@ -153,13 +153,17 @@ class TrainingGeometry:
 def _pack(keep: np.ndarray, dists: np.ndarray | None = None):
     """Left-align the kept column ids of each row, and their ``dists``.
 
-    Each row holds its kept entries in column order, then padding up to the
-    fullest row's count: column id ``m`` (one past the last) and NaN.
+    Rows hold their kept entries in column order; if counts differ, padding
+    follows up to the fullest row's count: column id ``m`` and NaN.
     """
-    m = keep.shape[1]
+    n, m = keep.shape
     flat = np.flatnonzero(keep)
-    counts = keep.sum(axis=1)
-    slots = np.arange(counts.max(initial=0)) < counts[:, None]
+    counts = np.count_nonzero(keep, axis=1)
+    width = counts.max(initial=0)
+    if (counts == width).all():
+        cols = flat.reshape(n, width) % m
+        return cols, None if dists is None else dists.ravel()[flat].reshape(cols.shape)
+    slots = np.arange(width) < counts[:, None]
     cols = np.full(slots.shape, m)
     cols[slots] = flat % m
     if dists is None:
@@ -181,24 +185,26 @@ def _first_k(cols: np.ndarray, dists: np.ndarray, k: int):
 
 
 def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
-    # Gram squared distances |a|^2 + |b|^2 - 2a.b shortlist the candidates;
-    # only those are recomputed by the exact subtraction of
-    # _euclidean_matrix.  The Gram value and the exact sum of squared
-    # differences each lie within gamma_{d+2} (|a| + |b|)^2 of the true
-    # squared distance, plus a few subnormal units for underflow, whatever
-    # the summation order; ``bound``, taken with the block's largest |a|
-    # and the largest |b|, covers both with room for its own rounding.  So
-    # the k training rows at or below the k-th Gram value have exact
-    # squares of at most kth + bound, and a row whose Gram value exceeds
-    # ``cutoff`` has an exact square above that by a factor over 1 + 4u
-    # (u the unit roundoff): its correctly rounded square root is strictly
-    # larger than theirs, and it cannot be among the first k, ties by
-    # column included.
+    # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the candidates;
+    # only those are recomputed by the exact subtraction of _euclidean_matrix.
+    # Folding -2 into the training operand is exact but where a product
+    # underflows.  The Gram value and the exact sum of squared differences each
+    # lie within gamma_{d+2} (|a| + |b|)^2 of the true squared distance, plus a
+    # few subnormal units for underflow, in any summation order: no term passes
+    # d + 2 roundings, and the summed magnitudes never exceed (|a| + |b|)^2.
+    # ``bound``, taken with the block's largest |a| and the largest |b|, covers
+    # both with room for its own rounding.  So the k training rows at or below
+    # the k-th Gram value have exact squares of at most kth + bound, and a row
+    # whose Gram value exceeds ``cutoff`` has an exact square above that by a
+    # factor over 1 + 4u (u the unit roundoff): its correctly rounded square
+    # root is strictly larger than theirs, and it cannot be among the first k,
+    # ties by column included.
     n, d = q.shape
     m = t.shape[0]
     # Padding cells point at an all-NaN row, so their distance is NaN.
     padded = np.concatenate([t, np.full((1, d), np.nan)])
     sq_t = np.einsum("ij,ij->i", t, t)
+    tt = -2.0 * t.T
     top = np.sqrt(sq_t.max())
     gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
     order = np.empty((n, k), dtype=np.intp)
@@ -210,7 +216,9 @@ def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
         for i in range(0, n, step):
             a = q[i:i + step]
             sq_a = np.einsum("ij,ij->i", a, a)
-            gram = sq_a[:, None] + sq_t - 2.0 * (a @ t.T)
+            gram = a @ tt
+            gram += sq_t
+            gram += sq_a[:, None]
             bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
             kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
             cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
@@ -218,8 +226,10 @@ def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
             # values are not finite (inf/NaN input, overflowing norms),
             # keeps every column.
             cols, _ = _pack(~(gram > cutoff[:, None]))
-            diff = a[:, None, :] - padded[cols]
-            exact = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            diff = padded[cols]
+            np.subtract(a[:, None, :], diff, out=diff)
+            exact = np.einsum("ijk,ijk->ij", diff, diff)
+            np.sqrt(exact, out=exact)
             order[i:i + step], dists[i:i + step] = _first_k(cols, exact, k)
     return order, dists
 

@@ -53,7 +53,9 @@ def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str) -> np.ndar
     if features.ndim != 2 or features.shape[1] != refs.dim:
         raise KernelError(
             f"feature width {features.shape[-1]} does not match reference width {refs.dim}")
-    dists = geometry.pairwise(refs.distance_used, features, refs.refs)
+    # The sampler's own rows come with their distances; kernel_matrix copies.
+    dists = (refs.fitted_dists if features is refs.fitted_rows
+             else geometry.pairwise(refs.distance_used, features, refs.refs))
     return kernel_matrix(kernel, dists, refs.sigmas)
 
 

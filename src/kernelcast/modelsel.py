@@ -425,6 +425,7 @@ def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
         raise SearchError("training requires a dataset with at least 2 classes")
     model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, stage_digest(cfg)))
     model.cv_ber = cv_ber
+    model.refs.fitted_rows = model.refs.fitted_dists = None  # mapped once; keep no n x k matrix
     return model
 
 

@@ -11,7 +11,7 @@ on the same rows share them; one is built when not given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class ReferenceSet:
     refs : (k, d) reference vectors (training rows or centroids).
     sigmas : (k,) strictly positive scales; degenerate regions were repaired.
     kind_used / distance_used / ref_type : how the set was produced.
+    fitted_rows / fitted_dists : the rows a sampler fitted the set on and
+        their C-ordered distances to refs, reused by kernel mapping; not saved.
     """
 
     refs: np.ndarray
@@ -42,6 +44,8 @@ class ReferenceSet:
     kind_used: str
     distance_used: str
     ref_type: str
+    fitted_rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+    fitted_dists: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.refs = np.asarray(self.refs, dtype=np.float64)
@@ -141,8 +145,9 @@ def sample_kmeans(ds, k: int, seed: int) -> ReferenceSet:
     _check_k(k, ds.n)
     rng = rand.derive(seed, rand.SAMPLER)
     centroids, _, _ = lloyd(ds.features, k, rng)
-    return ReferenceSet(centroids, _sigmas(geometry.pairwise("euclidean", ds.features, centroids)),
-                        "kmeans", "euclidean", "centroids")
+    dists = geometry.pairwise("euclidean", ds.features, centroids)
+    return ReferenceSet(centroids, _sigmas(dists), "kmeans", "euclidean", "centroids",
+                        ds.features, dists)
 
 
 def _geometry(features, geo):
@@ -269,7 +274,9 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
     if ref_type == "centroids":
         refs = _region_means(ds.features, np.argmin(dists, axis=1), refs)
         dists = geometry.pairwise(dist, ds.features, refs)
-    return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type)
+    # Euclidean centers come as a transposed view; layout orders later sums.
+    return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type, ds.features,
+                        np.ascontiguousarray(dists))
 
 
 def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from kernelcast import classify, geometry
 from kernelcast.classify import (ClassifierError, GnbModel, KnnParams,
                                  gnb_fit, gnb_predict, knn_fit, knn_predict)
 from kernelcast.data import Dataset
+from spies import ArgmaxSpy
 
 
 def mapped(features, labels, n_classes=None):
@@ -88,6 +90,37 @@ def test_knn_brute_force_oracle():
             order = np.argsort(d, kind="stable")[: min(k, n)]
             counts = np.bincount(labels[order], minlength=3)
             assert got[qi] == int(np.argmax(counts))
+
+
+def scatter_add_scores(labels, order, weights, n_classes):
+    """The ``np.add.at`` vote that ``knn_predict`` replaced with a bincount."""
+    scores = np.zeros((order.shape[0], n_classes))
+    rows = np.broadcast_to(np.arange(order.shape[0])[:, None], order.shape)
+    np.add.at(scores, (rows, labels[order]), weights)
+    return scores
+
+
+@pytest.mark.parametrize("distance", ["euclidean", "angle"])
+def test_knn_vote_scores_equal_the_scatter_add_bit_for_bit(monkeypatch, distance):
+    spy = ArgmaxSpy()
+    monkeypatch.setattr(classify, "np", spy)
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        n, m, d, c = (int(x) for x in rng.integers(1, [40, 30, 4, 5]))
+        train = rng.integers(-2, 3, size=(m, d)).astype(float)  # ties and exact hits
+        queries = np.vstack([train[:n // 2], rng.normal(size=(n - n // 2, d))])
+        labels = rng.integers(0, c, size=m)
+        k = int(rng.integers(1, m + 2))
+        order, dists = geometry.nearest(distance, queries, train, k)
+        for weighting in ("uniform", "distance"):
+            model = knn_fit(mapped(train, labels, c), params(k, weighting, distance))
+            got = knn_predict(model, queries)
+            scores = spy.seen.pop()
+            weights = np.ones(order.shape) if weighting == "uniform" else 1.0 / (1e-9 + dists)
+            want = scatter_add_scores(labels, order, weights, c)
+            assert scores.shape == want.shape
+            assert np.array_equal(scores.astype(float).view(np.int64), want.view(np.int64))
+            assert np.array_equal(got, np.argmax(want, axis=1))
 
 
 def test_knn_rejects_bad_params():

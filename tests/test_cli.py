@@ -321,6 +321,11 @@ def test_benchmark_two_methods(workdir, tmp_path, capsys):
     assert "method order by average rank" in capsys.readouterr().out
 
 
+def _manifest_with(field):
+    # The split files do not exist: a check that reads them first fails otherwise.
+    return '{"datasets": [{"name": "d", %s, "splits": [{"train": "a.csv", "test": "b.csv"}]}]}' % field
+
+
 @pytest.mark.parametrize("text,message", [
     ("{", "not a JSON document: Expecting property name enclosed in double quotes"),
     ("[1, 2]", "manifest must contain a non-empty 'datasets' list"),
@@ -335,8 +340,14 @@ def test_benchmark_two_methods(workdir, tmp_path, capsys):
      "every split needs 'train' and 'test' file paths"),
     ('{"datasets": [{"name": "d", "splits": [{"train": ["a.csv"], "test": "b.csv"}]}]}',
      "every split needs 'train' and 'test' file paths"),
+    (_manifest_with('"has_header": "false"'), "a dataset's 'has_header' must be true or false"),
+    (_manifest_with('"has_header": 0'), "a dataset's 'has_header' must be true or false"),
+    (_manifest_with('"label_col": 1.7'), "a dataset's 'label_col' must be an integer"),
+    (_manifest_with('"label_col": true'), "a dataset's 'label_col' must be an integer"),
+    (_manifest_with('"label_col": "2"'), "a dataset's 'label_col' must be an integer"),
 ], ids=["not-json", "list", "no-datasets", "string-dataset", "no-name", "string-splits",
-        "string-split", "no-test", "list-train"])
+        "string-split", "no-test", "list-train", "string-header", "int-header",
+        "float-label-col", "bool-label-col", "string-label-col"])
 def test_benchmark_rejects_a_malformed_manifest_naming_it(tmp_path, capsys, text, message):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(text)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from kernelcast import ensemble, rand
 from kernelcast.data import Dataset
-from kernelcast.ensemble import (Ensemble, EnsembleError, build_ensemble,
+from kernelcast.ensemble import (Ensemble, EnsembleError, _tally, build_ensemble,
                                  consensus_curve, discordance_ratio,
                                  ensemble_predict, member_votes)
 from kernelcast.modelsel import (Configuration, kms_fit, kms_predict,
                                  random_search)
+from spies import ArgmaxSpy
 from synthdata import make_blobs
 
 
@@ -161,3 +163,33 @@ def test_consensus_rejects_bad_window(blob_search):
         consensus_curve(report, ds, ell_start=9, ell_max=3)
     with pytest.raises(EnsembleError):
         consensus_curve(report, ds, ell_start=0)
+
+
+def scatter_add_tally(votes, n_classes, vote_seed):
+    """The ``np.add.at`` tally, with the tie loop of ``ensemble._tally``."""
+    counts = np.zeros((votes.shape[1], n_classes), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(votes.shape[1]), votes.shape)
+    np.add.at(counts, (rows, votes), 1)
+    winners = np.argmax(counts, axis=1).astype(np.int64)
+    top = counts[np.arange(counts.shape[0]), winners]
+    for q in np.flatnonzero((counts == top[:, None]).sum(axis=1) > 1):
+        options = np.flatnonzero(counts[q] == top[q])
+        winners[q] = int(options[rand.derive(vote_seed, rand.VOTE, int(q)).integers(options.size)])
+    return counts, winners
+
+
+def test_tally_counts_and_winners_match_the_scatter_add(monkeypatch):
+    spy = ArgmaxSpy()
+    monkeypatch.setattr(ensemble, "np", spy)
+    rng = np.random.default_rng(21)
+    ties = 0
+    for _ in range(300):
+        members, queries, n_classes = (int(x) for x in rng.integers(1, [7, 40, 5]))
+        votes = rng.integers(0, n_classes, size=(members, queries))
+        want_counts, want = scatter_add_tally(votes, n_classes, 5)
+        ties += int((want_counts == want_counts.max(axis=1, keepdims=True)).sum() > queries)
+        got = _tally(votes, n_classes, 5)
+        counts = spy.seen.pop()
+        assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
+        assert np.array_equal(got, want)
+    assert ties > 100

@@ -282,3 +282,30 @@ def test_nearest_rejects_bad_arguments():
         geometry.nearest("euclidean", np.ones((2, 3)), np.ones((2, 4)), 1)
     with pytest.raises(ValueError):
         geometry.nearest("manhattan", np.ones((2, 3)), np.ones((2, 3)), 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
+    widths = []  # distinct kept counts per packed block
+    pack = geometry._pack
+    monkeypatch.setattr(geometry, "_pack", lambda keep, *rest: widths.append(
+        np.unique(keep.sum(axis=1)).size) or pack(keep, *rest))
+    rng = np.random.default_rng(13)
+    for _ in range(80):
+        n, m, d = (int(x) for x in rng.integers(1, [30, 25, 5]))
+        # one to three query rows per euclidean block
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", m * (d + 8) * int(rng.integers(1, 4)))
+        # lattice rows tie at the k-th distance, duplicate training rows tie everywhere
+        queries = rng.integers(-1, 2, size=(n, d)).astype(float)
+        noisy = rng.random(n) < 0.5
+        queries[noisy] += rng.normal(size=(noisy.sum(), d))
+        train = rng.integers(-1, 2, size=(m, d)).astype(float)[rng.integers(0, m, size=m)]
+        for rows in (queries, train):
+            bad = np.flatnonzero(rng.random(rows.shape[0]) < 0.1)
+            rows[bad, rng.integers(0, d, size=bad.size)] = rng.choice([np.inf, -np.inf, np.nan],
+                                                                      size=bad.size)
+        for k in {1, m // 2 + 1, m}:
+            assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
+    # both the padded and the uniform-width packing ran
+    assert 1 in widths and max(widths) > 1

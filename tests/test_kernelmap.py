@@ -4,10 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from kernelcast import geometry, serialize
 from kernelcast.data import Dataset
 from kernelcast.kernelmap import (KERNEL_KINDS, KernelError, kernel_matrix,
                                   map_dataset, map_matrix)
-from kernelcast.sampling import ReferenceSet
+from kernelcast.modelsel import Configuration, fit_pipeline, kms_fit
+from kernelcast.sampling import REF_TYPES, SAMPLER_KINDS, ReferenceSet, make_reference_set
+from synthdata import random_dataset
 
 
 def refs_of(points, sigmas, dist="euclidean"):
@@ -134,3 +137,50 @@ def test_rejects_nonpositive_sigma():
 def test_rejects_unknown_kernel():
     with pytest.raises(KernelError):
         response("rbf", 1.0, 1.0)
+
+
+SAMPLER_CASES = [(sampler, dist, ref_type)
+                 for sampler in SAMPLER_KINDS
+                 for dist in (("euclidean",) if sampler == "kmeans" else geometry.DISTANCE_KINDS)
+                 for ref_type in (("centroids",) if sampler == "kmeans" else REF_TYPES)]
+
+
+@pytest.mark.parametrize("sampler,dist,ref_type", SAMPLER_CASES)
+def test_fitted_rows_map_with_the_samplers_distances(monkeypatch, sampler, dist, ref_type):
+    ds = random_dataset(np.random.default_rng(4), 60, 3)
+    refs = make_reference_set(ds, sampler, 7, dist, ref_type, 2,
+                              geometry.TrainingGeometry(ds.features))
+    fresh = geometry.pairwise(dist, ds.features, refs.refs)
+    calls = []
+    pairwise = geometry.pairwise
+    monkeypatch.setattr(geometry, "pairwise", lambda *a: calls.append(a) or pairwise(*a))
+    for kernel in KERNEL_KINDS:
+        want = kernel_matrix(kernel, fresh, refs.sigmas)
+        mapped = map_matrix(ds.features, refs, kernel)
+        assert mapped.flags.c_contiguous and mapped.tobytes() == want.tobytes()
+        assert not calls
+        # an equal copy of the rows is not the rows the sampler saw
+        assert map_matrix(ds.features.copy(), refs, kernel).tobytes() == want.tobytes()
+        assert len(calls) == 1
+        calls.clear()
+    linear = map_matrix(ds.features, refs, "linear")
+    linear[:] = -1.0
+    assert map_matrix(ds.features, refs, "linear").tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("classifier", ["gnb", "knn"])
+def test_a_reloaded_model_carries_no_sampler_distances(classifier):
+    ds = random_dataset(np.random.default_rng(5), 40, 2)
+    cfg = Configuration.from_dict(dict(
+        k_references=5, sampling_distance="euclidean", sampler="fft", kernel="linear",
+        ref_type="centers", classifier=classifier,
+        knn=dict(neighbors=3, weighting="uniform", distance="euclidean")
+        if classifier == "knn" else None))
+    model = fit_pipeline(cfg, ds, seed=3)
+    assert model.refs.fitted_dists is not None
+    loaded = serialize.kms_from_doc(serialize.kms_to_doc(model))
+    assert loaded.refs.fitted_rows is None and loaded.refs.fitted_dists is None
+    assert serialize.to_json(loaded) == serialize.to_json(model)
+    assert "fitted" not in serialize.to_json(model)
+    # a refit model for training or an ensemble keeps no training-row matrix
+    assert kms_fit(cfg, ds, 3).refs.fitted_dists is None
