@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import errors, geometry
 from .data import Dataset
 
 KNN_WEIGHTINGS = ("uniform", "distance")
@@ -24,7 +24,7 @@ _WEIGHT_EPS = 1e-9
 _VAR_FLOOR_FACTOR = 1e-9
 
 
-class ClassifierError(ValueError):
+class ClassifierError(errors.KernelcastError):
     """Invalid classifier parameters or inputs."""
 
 

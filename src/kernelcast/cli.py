@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import rand, serialize
+from . import errors, rand, serialize
 from .data import SCALER_KINDS, Dataset, load_csv, load_feature_csv
 from .ensemble import (DEFAULT_ENSEMBLE_SIZE, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
@@ -37,7 +37,7 @@ BENCHMARK_METHODS = ("kms-rs", "kms-gs", "kms-random", "kms-density", "kms-fft",
 _SEARCH_VARIANTS = {"rs": ("random", None), "gs": ("grid", None)}
 
 
-class CliError(ValueError):
+class CliError(errors.KernelcastError):
     """User-facing command failure."""
 
 

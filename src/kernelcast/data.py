@@ -1,26 +1,27 @@
 """Dataset ingestion, label encoding, stratified splitting, and feature scaling.
 
 CSV files are opened by ``csv.reader``, which reads the header and the first
-block of rows and runs every check.  The rows of a file without quotes, NUL
-bytes or over-long lines are then converted by one ``np.loadtxt`` pass
-(``_read_plain``); any other file, and any file the C reader refuses, stays
-on ``csv.reader`` in blocks, which also writes every error report.
+block of rows and runs every check.  One ``np.loadtxt`` pass (``_read_plain``)
+then converts the rows, quoted cells included.  A file it declines is walked
+cell by cell on ``csv.reader`` (``_walk_cells``), which also writes every error
+report.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from . import rand
+from . import errors, rand
 
 SCALER_KINDS = ("none", "standardize", "minmax", "maxabs")
 
 
-class DataError(ValueError):
+class DataError(errors.KernelcastError):
     """Malformed input data or invalid data-handling parameters."""
 
 
@@ -120,55 +121,65 @@ def _resolve_column(path, label_column, header: list[str] | None, width: int) ->
     return idx
 
 
-_BLOCK_ROWS = 256  # rows per np.array call; bounds the row text held at once
+_BLOCK_ROWS = 256  # rows read before the checks run
 
 
-def _walk_block(path, block, width: int, label_idx: int | None) -> np.ndarray:
-    """Per-cell ``float(cell.strip())`` over a block that failed to convert in one call.
-
-    Raises for the block's first ragged row or bad cell; a block holding neither has
-    cells padded with U+001C..U+001F, which ``str.strip()`` drops and ``float()`` keeps.
-    """
-    values = []
-    for row, line in block:
+def _walk_cells(path, rows, width: int, label_idx: int | None, labels: list[str]):
+    """Yield ``float(cell.strip())`` for each feature cell of ``csv.reader`` rows, and
+    append each stripped label cell to ``labels``; raise for the first ragged row or bad cell."""
+    for row, line in rows:
         if len(row) != width:
             raise DataError(f"{path}: line {line} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
             cell = cell.strip()
+            if j == label_idx:
+                labels.append(cell)
+                continue
             try:
                 value = float(cell)
             except ValueError:
                 raise DataError(f"cannot parse {cell!r} as a number at line {line}, column {j + 1}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(f"non-finite value {cell!r} at line {line}, column {j + 1}")
-            values.append(value)
-    return np.reshape(values, (len(block), -1))
+            yield value
 
 
-_SCAN_BYTES = 1 << 16  # bytes per read of the quote/NUL/line-length scan
+_SCAN_BYTES = 1 << 16  # bytes per read of the NUL/quote/row-length scan
 
 
 def _plain_text(path) -> bool:
-    """Whether ``path`` holds no quote, no NUL and no line the csv tokenizer would refuse.
+    """Whether ``path`` holds no NUL, no quote inside an unquoted cell and no row of
+    ``csv.field_size_limit()`` bytes, which bound each of its cells' characters.
 
-    Line lengths count bytes between ``\\n`` bytes, an upper bound on any cell's
-    characters, so a file whose cells all fit ``csv.field_size_limit()`` may still
-    be declined; one that passes has no cell over the limit.
+    csv.reader opens quotes only at a cell's start; without quotes anywhere else,
+    quotes pair up, and a row ends at each ``\\n`` after an even number of them.
+    A ``\\r`` after an odd number is declined too: numpy's reader is given universal
+    newlines, which would turn it into a ``\\n``.
     """
     limit = csv.field_size_limit()
-    run = 0  # bytes since the last newline
+    run, odd, last = 0, False, b"\n"  # bytes since the last row end; quote count parity; last byte
     with open(path, "rb") as fh:
-        # A line wholly inside one chunk is shorter than the limit; only one that
+        fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # past a byte order mark
+        # A row wholly inside one chunk is shorter than the limit; only one that
         # runs across chunks can reach it.
         while chunk := fh.read(max(1, min(limit, _SCAN_BYTES))):
-            if b'"' in chunk or b"\0" in chunk:
+            if odd or b'"' in chunk:
+                codes = np.frombuffer(chunk, np.uint8)
+                quotes = np.flatnonzero(codes == ord('"'))
+                ends, crs = (np.flatnonzero(codes == byte) for byte in b"\n\r")
+                before_opens = np.frombuffer(last + chunk, np.uint8)[quotes[odd::2]]
+                crs_inside = (np.searchsorted(quotes, crs) + odd) % 2 == 1
+                if crs_inside.any() or not np.isin(before_opens, list(b",\r\n")).all():
+                    return False
+                ends = ends[(np.searchsorted(quotes, ends) + odd) % 2 == 0]
+                odd = (len(quotes) + odd) % 2 == 1
+                cut, tail = (ends[0], ends[-1]) if len(ends) else (-1, -1)
+            else:
+                cut, tail = chunk.find(b"\n"), chunk.rfind(b"\n")
+            if b"\0" in chunk or run + (len(chunk) if cut < 0 else cut) >= limit:
                 return False
-            cut = chunk.find(b"\n")
-            if run + (len(chunk) if cut < 0 else cut) >= limit:
-                return False
-            run = run + len(chunk) if cut < 0 else len(chunk) - 1 - chunk.rfind(b"\n")
+            run = run + len(chunk) if cut < 0 else len(chunk) - 1 - tail
+            last = chunk[-1:]
     return True
 
 
@@ -182,24 +193,19 @@ def _read_plain(path, skip: int, width: int, label_idx: int | None):
     """
     if not _plain_text(path):
         return None
+    dtype = [(f"c{j}", object if j == label_idx else np.float64) for j in range(width)]
     try:
-        # Universal newlines split lines where csv.reader does: without quotes a
-        # row is its line split at commas.
+        # Universal newlines end lines where csv.reader does, quotes aside (see _plain_text).
         with open(path, encoding="utf-8-sig") as fh:
-            if label_idx is None:
-                features, raw_labels = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2), []
-            else:
-                names = [f"c{j}" for j in range(width)]
-                dtype = [(name, object if j == label_idx else np.float64) for j, name in enumerate(names)]
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1)
-                label = names.pop(label_idx)
-                raw_labels = [cell.strip() for cell in table[label].tolist()]
-                features = np.column_stack([table[name] for name in names])
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                               skiprows=skip, ndmin=1)
     except ValueError:
         return None
-    if not np.isfinite(features).all():
-        return None
-    return features, raw_labels
+    raw_labels = [] if label_idx is None else [cell.strip() for cell in table[f"c{label_idx}"].tolist()]
+    # Rows of float fields only are the matrix already; a label field is copied out of them.
+    features = (table.view(np.float64).reshape(len(table), width) if label_idx is None
+                else np.column_stack([table[f"c{j}"] for j in range(width) if j != label_idx]))
+    return (features, raw_labels) if np.isfinite(features).all() else None
 
 
 def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, list[str]]:
@@ -207,8 +213,8 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
 
     With ``label_column`` None every column is a feature.  Blank rows are skipped.
     ``csv.reader`` reads the header and the first block, on which every check
-    runs; ``_read_plain`` then converts the rows where it can, and otherwise the
-    block loop goes on with ``csv.reader``.
+    runs; ``_read_plain`` then converts the rows where it can, and otherwise
+    ``_walk_cells`` converts them cell by cell.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -225,23 +231,9 @@ def _read_csv(path, has_header: bool, label_column=None) -> tuple[np.ndarray, li
             label_idx = None if label_column is None else _resolve_column(path, label_column, header, width)
             parsed = _read_plain(path, skip, width, label_idx)
             if parsed is None:
-                chunks, raw_labels = [], []
-                while block:
-                    cells = [row for row, _ in block]
-                    try:
-                        if set(map(len, cells)) != {width}:
-                            raise ValueError("ragged row")
-                        if label_idx is not None:
-                            raw_labels += [row[label_idx].strip() for row in cells]
-                            cells = [row[:label_idx] + row[label_idx + 1:] for row in cells]
-                        values = np.array(cells, dtype=np.float64)  # float() on each str
-                        if not np.isfinite(values).all():
-                            raise ValueError("non-finite value")
-                    except ValueError:
-                        values = _walk_block(path, block, width, label_idx)
-                    chunks.append(values)
-                    block = list(islice(rows, _BLOCK_ROWS))
-                parsed = np.concatenate(chunks), raw_labels
+                labels = []
+                cells = _walk_cells(path, chain(block, rows), width, label_idx, labels)
+                parsed = np.fromiter(cells, np.float64).reshape(-1, width - (label_idx is not None)), labels
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not valid UTF-8") from None
     except csv.Error as exc:

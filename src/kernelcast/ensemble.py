@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rand
+from . import errors, rand
 from .data import Dataset
 from .modelsel import KmsModel, SearchReport, kms_fit, kms_predict
 
 DEFAULT_ENSEMBLE_SIZE = 15
 
 
-class EnsembleError(ValueError):
+class EnsembleError(errors.KernelcastError):
     """Invalid ensemble parameters."""
 
 

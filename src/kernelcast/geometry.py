@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import KernelcastError
+
 DISTANCE_KINDS = ("euclidean", "angle")
 
 # Cap on elements materialized per broadcast block when computing exact
@@ -28,13 +30,13 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 
 def _check_kind(kind: str) -> None:
     if kind not in DISTANCE_KINDS:
-        raise ValueError(f"unknown distance kind {kind!r}; expected one of {DISTANCE_KINDS}")
+        raise KernelcastError(f"unknown distance kind {kind!r}; expected one of {DISTANCE_KINDS}")
 
 
 def _as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
+        raise KernelcastError("expected a 2-d array of row vectors")
     return a
 
 
@@ -71,7 +73,7 @@ def _validated(kind: str, a, b) -> tuple[np.ndarray, np.ndarray]:
     _check_kind(kind)
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+        raise KernelcastError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     return a, b
 
 
@@ -247,7 +249,7 @@ def nearest(kind: str, queries, train, k: int) -> tuple[np.ndarray, np.ndarray]:
     keep every entry up to the k-th smallest before sorting.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise KernelcastError("k must be at least 1")
     q, t = _validated(kind, queries, train)
     k = min(k, t.shape[0])
     if kind == "euclidean":

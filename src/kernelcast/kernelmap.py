@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
+from . import errors, geometry
 from .data import Dataset
 from .sampling import ReferenceSet
 
@@ -19,7 +19,7 @@ KERNEL_KINDS = ("linear", "gaussian", "sigmoid", "cauchy")
 _EXP_CLAMP = 700.0
 
 
-class KernelError(ValueError):
+class KernelError(errors.KernelcastError):
     """Invalid kernel parameters."""
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import parallel, rand
+from . import errors, parallel, rand
 from .classify import (GnbModel, KnnModel, KnnParams, gnb_fit, gnb_predict,
                        knn_fit, knn_predict)
 from .data import (SCALER_KINDS, Dataset, ScalerSpec, apply_scaler, fit_scaler,
@@ -38,7 +38,7 @@ DEFAULT_SAMPLE_SIZE = 128
 DEFAULT_FOLD_COUNT = 3
 
 
-class SearchError(ValueError):
+class SearchError(errors.KernelcastError):
     """Invalid search parameters."""
 
 
@@ -278,7 +278,7 @@ def stage_references(cfg: Configuration, folds: list[PreparedFold],
 
 
 def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int,
-                    references: list[ReferenceSet] | ValueError | None = None) -> float:
+                    references: list[ReferenceSet] | errors.KernelcastError | None = None) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
@@ -289,7 +289,7 @@ def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int,
     """
     if references is None:
         references = stage_references(cfg, folds, seed)
-    elif isinstance(references, ValueError):
+    elif isinstance(references, errors.KernelcastError):
         raise references.with_traceback(None)  # shared by the stage: keep its traceback short
     bers = []
     for fold, refs in zip(folds, references):
@@ -352,7 +352,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         try:
             ber = evaluate_config(cfg, folds, seed, references)
             error = None
-        except ValueError as exc:  # domain errors only; anything else is a bug and propagates
+        except errors.KernelcastError as exc:  # anything else is a bug and propagates
             ber = math.inf
             error = str(exc)
         return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error)
@@ -361,7 +361,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         # The stage's references live only as long as this call.
         try:
             references = stage_references(configs[positions[0]], folds, seed)
-        except ValueError as exc:
+        except errors.KernelcastError as exc:
             references = exc
         return [evaluate(configs[i], references) for i in positions]
 

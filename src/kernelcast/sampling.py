@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, rand
+from . import errors, geometry, rand
 
 SAMPLER_KINDS = ("density", "fft", "kmeans", "random")
 REF_TYPES = ("centers", "centroids")
@@ -24,7 +24,7 @@ REF_TYPES = ("centers", "centroids")
 _LLOYD_MAX_ITERS = 100
 
 
-class SamplingError(ValueError):
+class SamplingError(errors.KernelcastError):
     """Invalid sampler parameters for the given dataset."""
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .classify import GnbModel, KnnModel, KnnParams
 from .data import ScalerSpec
 from .ensemble import Ensemble
+from .errors import KernelcastError
 from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
                        best_entry_index, json_int)
 from .sampling import ReferenceSet, SamplingError
@@ -30,7 +31,7 @@ from .sampling import ReferenceSet, SamplingError
 FORMAT_VERSION = 1
 
 
-class FormatError(ValueError):
+class FormatError(KernelcastError):
     """Unrecognized or malformed document."""
 
 
@@ -368,9 +369,9 @@ def from_json(text: str):
         return reader(doc)
     except KeyError as exc:
         raise FormatError(f"{doc['kind']} document is missing field {exc.args[0]!r}") from None
+    except KernelcastError:
+        raise  # the package's own error types pass through
     except (AttributeError, TypeError, ValueError) as exc:
-        if type(exc) is not ValueError and isinstance(exc, ValueError):
-            raise  # the package's own error types pass through
         raise FormatError(f"{doc['kind']} document is malformed: {exc}") from None
 
 

@@ -570,7 +570,10 @@ def assert_same_outcome(got, expected, context):
 def oracle_read(path, text, label_column, has_header):
     """The reference reader's outcome, with the width and header checks ``_read_csv`` makes."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        return DataError(f"{path}: line {reader.line_num}: {exc}")
     header = rows.pop(0) if has_header else None
     width = len(rows[0])
     label_idx = label_column
@@ -587,58 +590,148 @@ def oracle_read(path, text, label_column, has_header):
         parsed = oracle_parse(path, text, label_idx, has_header)
         if header is not None and len(header) != width:
             raise header_error
+        if label_column is not None and len(set(parsed[1])) < 2:
+            raise DataError(f"{path}: need at least 2 classes, found {len(set(parsed[1]))}")
         return parsed
     except DataError as exc:
         return exc
 
 
+QUOTED_NUMBERS = ['"1.5"', '" -2 "', '"3\n"', '"\r\n4"', '"5"0', '"1e-3"']
+QUOTED_BAD = ['"x"', '"1,5"', '""', '"nan"', '"""7"""', '1"2"']
+QUOTED_LABELS = ['"a,b"', '"c""d"', '"e\r\nf"', '"g\nh"', '"i"j', '" k "', '""']
+
+
+def quote_cell(rng, cell, label, bad_rate):
+    """A quoted stand-in for ``cell``: a number or a label, now and then a bad cell or a
+    quote inside an unquoted cell, which is text to csv.reader."""
+    if label:
+        return 'l"m' if rng.random() < 0.02 else QUOTED_LABELS[rng.integers(len(QUOTED_LABELS))]
+    if rng.random() < 2 * bad_rate:
+        return QUOTED_BAD[rng.integers(len(QUOTED_BAD))]
+    return QUOTED_NUMBERS[rng.integers(len(QUOTED_NUMBERS))] if rng.random() < 0.8 else f'"{cell}"'
+
+
 def random_csv_layout(rng, labeled):
     """CSV text with CRLF or LF line ends, blank lines before any header, the label
-    column first, in the middle or last, and sometimes exactly two data rows."""
+    column first, in the middle or last, and sometimes exactly two data rows.  In
+    two files of three some cells are quoted: numbers, and labels holding commas,
+    doubled quotes or line breaks (LF, or CR LF in one file of four); a quote may be
+    followed by text, a line may hold only ``""``, and the header may span two lines."""
     width = int(rng.integers(2, 6))
     label_idx = int(rng.choice([0, width // 2, width - 1])) if labeled else None
     has_header = bool(rng.integers(2))
     bad_rate = [0.0, 0.0, 0.01, 0.05][rng.integers(4)]
     end = ["\n", "\r\n"][rng.integers(2)]
+    quote_rate = [0.0, 0.15, 0.4][rng.integers(3)]
+    inner_break = "\r\n" if rng.random() < 0.25 else "\n"  # a line break inside quotes
     lines = [""] * int(rng.integers(3))
     if has_header:
-        lines.append(",".join(f"c{j}" for j in range(width)))
+        header = [f"c{j}" for j in range(width)]
+        if rng.random() < quote_rate:
+            header = [f'"{name}"' for name in header]
+            header[(label_idx or 0) + 1 - width * ((label_idx or 0) + 1 == width)] = '"spans\r\ntwo lines"'
+        lines.append(",".join(header).replace("\r\n", inner_break))
     n_rows = 2 if rng.random() < 0.3 else int(rng.integers(2, 14))
     for i in range(n_rows):
         cells = [random_cell(rng, bad_rate) if rng.random() < 0.2 else repr(float(rng.normal()))
                  for _ in range(width)]
         if label_idx is not None:
             cells[label_idx] = [" a", "b ", "c"][i % 3]
+        cells = [quote_cell(rng, cell, j == label_idx, bad_rate) if rng.random() < quote_rate else cell
+                 for j, cell in enumerate(cells)]
         if rng.random() < bad_rate:
             cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
         if rng.random() < 0.02:
             cells[-1] += "#x"  # a cell, not a comment
-        lines.append(",".join(cells))
+        lines.append(",".join(cells).replace("\r\n", inner_break))
         if rng.random() < 0.1:
-            lines.append("")
+            lines.append('""' if rng.random() < quote_rate / 8 else "")
     return end.join(lines) + end, label_idx, has_header
 
 
+def check_both_readers(tmp_path, name, text, column, has_header):
+    """Assert that both readers give the oracle's outcome for ``text``; return that
+    outcome and whether numpy's reader converted the file."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    path = str(path)
+    expected = oracle_read(path, text, column, has_header)
+    read_plain, took = data._read_plain, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_read_plain", lambda *args: took.append(read_plain(*args)) or took[-1])
+        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
+        decline_plain(patch)
+        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
+    return expected, took != [] and took[0] is not None
+
+
 @pytest.mark.parametrize("labeled", [True, False], ids=["load_csv", "load_feature_csv"])
-def test_fuzz_both_readers_match_the_oracle(tmp_path, monkeypatch, labeled):
+def test_fuzz_both_readers_match_the_oracle(tmp_path, labeled):
     rng = np.random.default_rng(20261019 + labeled)
-    took_numpy = []
-    read_plain = data._read_plain
-    outcomes = set()
-    for case in range(300):
+    outcomes, routes = set(), []
+    for case in range(400):
         text, label_idx, has_header = random_csv_layout(rng, labeled)
-        path = tmp_path / f"fuzz{case}.csv"
-        path.write_bytes(text.encode("utf-8"))
-        path = str(path)
         column = f"c{label_idx}" if labeled and has_header and case % 2 else label_idx
-        expected = oracle_read(path, text, column, has_header)
-        monkeypatch.setattr(data, "_read_plain", lambda *args: took_numpy.append(read_plain(*args)) or took_numpy[-1])
-        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
-        decline_plain(monkeypatch)
-        assert_same_outcome(read_outcome(path, column, has_header), expected, text)
+        expected, numpy = check_both_readers(tmp_path, f"fuzz{case}.csv", text, column, has_header)
         outcomes.add("rejected" if isinstance(expected, DataError) else "parsed")
+        routes.append(('"' in text, numpy))
     assert outcomes == {"parsed", "rejected"}
-    assert sum(result is not None for result in took_numpy) > 100
+    assert sum(numpy for _, numpy in routes) > 150
+    assert sum(quoted and numpy for quoted, numpy in routes) > 100
+    assert sum(quoted and not numpy for quoted, numpy in routes) > 10
+
+
+def test_fuzz_quoted_rows_under_small_field_limits(tmp_path):
+    # The row scan then reads in chunks of ``limit`` bytes, and csv.reader refuses long cells.
+    outcomes = set()
+    old = csv.field_size_limit()
+    try:
+        for limit in (20, 48, 96):
+            csv.field_size_limit(limit)
+            rng = np.random.default_rng(20261021 + limit)
+            for case in range(150):
+                labeled = bool(case % 2)
+                text, label_idx, has_header = random_csv_layout(rng, labeled)
+                column = f"c{label_idx}" if labeled and has_header and case % 4 == 1 else label_idx
+                expected, numpy = check_both_readers(tmp_path, f"fuzz{limit}-{case}.csv", text, column, has_header)
+                outcomes.add("field limit" if "field larger than field limit" in str(expected)
+                             else "numpy" if numpy else "csv")
+    finally:
+        csv.field_size_limit(old)
+    assert outcomes == {"numpy", "csv", "field limit"}
+
+
+@pytest.mark.parametrize("text,label_column", [
+    ('1,2,a\n3,4,b\n5,6,"' + "x\n" * 70_000 + '"\n', -1),
+    ('1,2,a\n3,4,b\n5,"' + "\n" * 140_000 + '4",a\n', -1),
+    ('1,2\n3,4\n5,"' + "\n" * 140_000 + '4"\n', None),
+    ('a,1,2\nb,3,4\nc"d,"' + "\n" * 140_000 + '4",5\n', 0),
+], ids=["label", "number", "number-features", "number-after-a-quote-inside-a-label"])
+def test_quoted_cell_over_the_field_limit_across_short_lines_is_refused(tmp_path, text, label_column):
+    # Each line is short, but csv.reader counts the quoted cell, over 140,000 characters.
+    path = write(tmp_path, text)
+    assert not data._plain_text(path)
+    got = read_outcome(path, label_column, False)
+    assert re.match(f"^{re.escape(path)}: line [0-9]+: field larger than field limit", str(got)), got
+
+
+def test_row_scan_carries_the_quote_state_across_reads(tmp_path):
+    # Quote parity and the byte before a quote run on from one read of the scan to the next.
+    def rows_up_to(offset):
+        """Labeled rows filling exactly ``offset`` bytes."""
+        count = offset // 6 - 1
+        return "1,2," + "a" * (offset + 1 - 6 * count) + "\n" + "1,2,a\n" * (count - 1)
+
+    head = rows_up_to(data._SCAN_BYTES - 6)
+    assert len(head + '3,4,"a') == data._SCAN_BYTES  # the next read starts inside the quotes
+    across = write(tmp_path, head + '3,4,"a\nb"\n5,6,b\n', name="across.csv")
+    assert data._plain_text(across)
+    assert load_csv(across).label_names[1:] == ["a", "a\nb", "b"]
+    head = rows_up_to(data._SCAN_BYTES - 1)
+    assert len(head + "x") == data._SCAN_BYTES  # the next read starts with a quote inside a cell
+    literal = write(tmp_path, head + 'x"y,1,2\n3,4,b\n', name="literal.csv")
+    assert not data._plain_text(literal)
 
 
 @pytest.mark.parametrize("text,route,expected", [
@@ -647,14 +740,20 @@ def test_fuzz_both_readers_match_the_oracle(tmp_path, monkeypatch, labeled):
     ("\x1c3\x1f,2,a\n3,4,b\n", "numpy", [[3.0, 2.0], [3.0, 4.0]]),
     ("1e500,2,a\n3,4,b\n", "csv", "non-finite value '1e500' at line 1, column 1"),
     ("﻿1,2,a\n3,4,b\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
-    ('"1",2,a\n3,"4",b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
-    ('1,2,"a"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ('"1",2,a\n3,"4",b\n', "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2,"a"\n3,4,b\n', "numpy", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2,a\r\n\r\n3,4,b\r\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2,#a\n3,4,b\n", "numpy", [[1.0, 2.0], [3.0, 4.0]]),
     ("1,2,a\n  \n3,4,b\n", "csv", "line 2 has 1 cells, expected 3"),
     ("1,,a\n3,4,b\n", "csv", "cannot parse '' as a number at line 1, column 2"),
+    ('\ufeff"1",2,a\n3,4,b\n', "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2,"a\nb"\r\n3,4,"b,c"\r\n', "numpy", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2,"a\r\nb"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2,a"b\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ('1,2, "a"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
 ], ids=["underscore", "arabic-digits", "separators", "overflow", "byte-order-mark", "quoted",
-        "quoted-label", "crlf", "hash", "whitespace-row", "empty-cell"])
+        "quoted-label", "crlf", "hash", "whitespace-row", "empty-cell", "byte-order-mark-quoted",
+        "quoted-lf-and-comma", "quoted-crlf", "quote-inside-a-cell", "space-before-a-quote"])
 def test_reader_route_and_result(tmp_path, monkeypatch, text, route, expected):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -10,6 +10,7 @@ import pytest
 
 from kernelcast import modelsel, rand
 from kernelcast.data import Dataset, make_folds
+from kernelcast.errors import KernelcastError
 from kernelcast.modelsel import (Configuration, SearchError,
                                  balanced_error_rate, config_digest,
                                  enumerate_grid, evaluate_config,
@@ -280,15 +281,22 @@ def test_failed_configs_get_infinite_score_and_never_win():
 
 
 def test_programming_errors_propagate_out_of_search(monkeypatch):
-    def broken(*args, **kwargs):
+    def raise_type_error(*args):
         raise TypeError("simulated bug")
 
-    monkeypatch.setattr(modelsel, "map_dataset", broken)
+    def add_misshapen_arrays(*args):
+        return np.zeros(10) + np.zeros(11)  # numpy raises a plain ValueError
+
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     ds = make_blobs(n_per_class=15, spread=0.3, seed=7)
-    for threads in (None, 2):
-        with pytest.raises(TypeError, match="simulated bug"):
-            random_search(ds, sample_size=4, seed=0, threads=threads)
+    for broken, error, message in [
+            (raise_type_error, TypeError, "simulated bug"),
+            (add_misshapen_arrays, ValueError, r"could not be broadcast together with shapes \(10,\) \(11,\)")]:
+        monkeypatch.setattr(modelsel, "map_dataset", broken)
+        for threads in (None, 2):
+            with pytest.raises(error, match=message) as failure:
+                random_search(ds, sample_size=4, seed=0, threads=threads)
+            assert not isinstance(failure.value, KernelcastError)
     assert multiprocessing.active_children() == []
 
 
