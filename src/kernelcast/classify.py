@@ -85,14 +85,18 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Predict label ids for mapped query rows.
 
     Neighbor rank ties break toward the lower training-row index; vote ties
-    break toward the lower label id.
+    break toward the lower label id.  A uniform vote counts the labels of
+    each row's k nearest as a set, in whatever order ``geometry.nearest``
+    finds them; an inverse-distance vote sums over them nearest first.
     """
     feats = np.asarray(queries, dtype=np.float64)
+    uniform = model.params.weighting == "uniform"
     order, dists = geometry.nearest(model.params.distance, feats, model.features,
-                                    model.params.neighbors)
+                                    model.params.neighbors, ordered=not uniform)
     n, c = feats.shape[0], model.n_classes
-    weights = None if model.params.weighting == "uniform" else 1.0 / (_WEIGHT_EPS + dists.ravel())
-    # Sums in row-major neighbour order, as a scatter-add would.
+    weights = None if uniform else 1.0 / (_WEIGHT_EPS + dists.ravel())
+    # Sums in row-major neighbour order, as a scatter-add would; integer
+    # counts do not depend on the order.
     scores = np.bincount((np.arange(n)[:, None] * c + model.labels[order]).ravel(), weights, n * c)
     return np.argmax(scores.reshape(n, c), axis=1).astype(np.int64)
 

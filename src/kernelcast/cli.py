@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -68,6 +69,10 @@ def cmd_search(args) -> int:
     report = _run_named_search(ds, args.mode, sampler_filter, args.budget,
                                args.folds, args.seed, args.scaler)
     serialize.save(report, args.out)
+    failed = Counter(e.error_class for e in report.entries if e.error is not None)
+    if failed:
+        classes = ", ".join(f"{name}: {count}" for name, count in sorted(failed.items()))
+        print(f"failed {failed.total()} ({classes})", file=sys.stderr)
     best = report.best
     print(f"evaluated {len(report.entries)} configurations; "
           f"best cv_ber {best.cv_ber:.6f} -> {args.out}")

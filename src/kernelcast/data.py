@@ -152,9 +152,9 @@ def _plain_text(path) -> bool:
     ``csv.field_size_limit()`` bytes, which bound each of its cells' characters.
 
     csv.reader opens quotes only at a cell's start; without quotes anywhere else,
-    quotes pair up, and a row ends at each ``\\n`` after an even number of them.
-    A ``\\r`` after an odd number is declined too: numpy's reader is given universal
-    newlines, which would turn it into a ``\\n``.
+    quotes pair up, and a row ends at each ``\\n`` or ``\\r`` after an even number of
+    them, as in numpy's reader, which is given universal newlines.  A ``\\r`` after an
+    odd number is declined: universal newlines would turn it into a ``\\n``.
     """
     limit = csv.field_size_limit()
     run, odd, last = 0, False, b"\n"  # bytes since the last row end; quote count parity; last byte
@@ -166,16 +166,19 @@ def _plain_text(path) -> bool:
             if odd or b'"' in chunk:
                 codes = np.frombuffer(chunk, np.uint8)
                 quotes = np.flatnonzero(codes == ord('"'))
-                ends, crs = (np.flatnonzero(codes == byte) for byte in b"\n\r")
+                ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
+                outside = (np.searchsorted(quotes, ends) + odd) % 2 == 0
+                crs_inside = codes[ends[~outside]] == ord("\r")
                 before_opens = np.frombuffer(last + chunk, np.uint8)[quotes[odd::2]]
-                crs_inside = (np.searchsorted(quotes, crs) + odd) % 2 == 1
                 if crs_inside.any() or not np.isin(before_opens, list(b",\r\n")).all():
                     return False
-                ends = ends[(np.searchsorted(quotes, ends) + odd) % 2 == 0]
+                ends = ends[outside]
                 odd = (len(quotes) + odd) % 2 == 1
                 cut, tail = (ends[0], ends[-1]) if len(ends) else (-1, -1)
-            else:
+            else:  # a lone CR ends a row too; measuring by LFs alone only overstates rows
                 cut, tail = chunk.find(b"\n"), chunk.rfind(b"\n")
+                if cut < 0:
+                    cut, tail = chunk.find(b"\r"), chunk.rfind(b"\r")
             if b"\0" in chunk or run + (len(chunk) if cut < 0 else cut) >= limit:
                 return False
             run = run + len(chunk) if cut < 0 else len(chunk) - 1 - tail

@@ -152,17 +152,19 @@ class TrainingGeometry:
         return out
 
 
-def _pack(keep: np.ndarray, dists: np.ndarray | None = None):
+def _pack(keep: np.ndarray, k: int, dists: np.ndarray | None = None):
     """Left-align the kept column ids of each row, and their ``dists``.
 
-    Rows hold their kept entries in column order; if counts differ, padding
-    follows up to the fullest row's count: column id ``m`` and NaN.
+    Every row keeps at least ``k`` entries, so a total of k per row means
+    exactly k in each, and no row needs counting.  Rows hold their kept
+    entries in column order; if counts differ, padding follows up to the
+    fullest row's count: column id ``m`` and NaN.
     """
     n, m = keep.shape
     flat = np.flatnonzero(keep)
-    counts = np.count_nonzero(keep, axis=1)
-    width = counts.max(initial=0)
-    if (counts == width).all():
+    counts = None if flat.size == n * k else np.count_nonzero(keep, axis=1)
+    width = k if counts is None else counts.max()
+    if counts is None or (counts == width).all():
         cols = flat.reshape(n, width) % m
         return cols, None if dists is None else dists.ravel()[flat].reshape(cols.shape)
     slots = np.arange(width) < counts[:, None]
@@ -186,9 +188,20 @@ def _first_k(cols: np.ndarray, dists: np.ndarray, k: int):
     return cols[rows, pick], dists[rows, pick]
 
 
-def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
-    # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the candidates;
-    # only those are recomputed by the exact subtraction of _euclidean_matrix.
+def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
+    """Yield ``(rows, cols, vals)`` per block ``q[rows]`` of query rows: candidates
+    packed by ``_pack``, at least k per row and its k nearest among them, and
+    their distances (None for euclidean ones, not yet computed exactly).
+    """
+    if kind == "angle":
+        dists = pairwise(kind, q, t)
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
+        # Every entry up to the k-th value, so ties at it are complete, and at
+        # least k per row: NaN sorts last and compares false, so a row with
+        # fewer than k numbers keeps every column.
+        yield slice(None), *_pack(~(dists > kth[:, None]), k, dists)
+        return
+    # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the candidates.
     # Folding -2 into the training operand is exact but where a product
     # underflows.  The Gram value and the exact sum of squared differences each
     # lie within gamma_{d+2} (|a| + |b|)^2 of the true squared distance, plus a
@@ -203,40 +216,35 @@ def _nearest_euclidean(q: np.ndarray, t: np.ndarray, k: int):
     # ties by column included.
     n, d = q.shape
     m = t.shape[0]
-    # Padding cells point at an all-NaN row, so their distance is NaN.
-    padded = np.concatenate([t, np.full((1, d), np.nan)])
     sq_t = np.einsum("ij,ij->i", t, t)
     tt = -2.0 * t.T
     top = np.sqrt(sq_t.max())
     gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
-    order = np.empty((n, k), dtype=np.intp)
-    dists = np.empty((n, k))
     # A block's Gram-sized temporaries, and its gathered differences even
     # when every column is kept, stay within _BLOCK_ELEMENTS.
     step = max(1, _BLOCK_ELEMENTS // (m * (d + 8)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, step):
-            a = q[i:i + step]
-            sq_a = np.einsum("ij,ij->i", a, a)
-            gram = a @ tt
-            gram += sq_t
-            gram += sq_a[:, None]
-            bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
-            kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-            cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
-            # NaN compares false: a block whose bound, or a row whose Gram
-            # values are not finite (inf/NaN input, overflowing norms),
-            # keeps every column.
-            cols, _ = _pack(~(gram > cutoff[:, None]))
-            diff = padded[cols]
-            np.subtract(a[:, None, :], diff, out=diff)
-            exact = np.einsum("ijk,ijk->ij", diff, diff)
-            np.sqrt(exact, out=exact)
-            order[i:i + step], dists[i:i + step] = _first_k(cols, exact, k)
-    return order, dists
+    for i in range(0, n, step):
+        a = q[i:i + step]
+        sq_a = np.einsum("ij,ij->i", a, a)
+        gram = a @ tt
+        gram += sq_t
+        gram += sq_a[:, None]
+        bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+        cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
+        # A finite bound means finite rows and a NaN-free Gram block: the terms
+        # of a.(-2b) sum to at most 2|a||b| <= (|a| + |b|)^2 / 2 in magnitude,
+        # so it stays finite, and adding the squared norms cannot meet inf - inf.
+        # Then the two masks agree, and each row keeps at least its k smallest
+        # values.  Otherwise NaN compares false: a block whose bound, or a row
+        # whose Gram values are not finite (inf/NaN input, overflowing norms),
+        # keeps every column.
+        keep = gram <= cutoff[:, None] if np.isfinite(bound) else ~(gram > cutoff[:, None])
+        yield slice(i, i + step), _pack(keep, k)[0], None
 
 
-def nearest(kind: str, queries, train, k: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest(kind: str, queries, train, k: int,
+            ordered: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """The k nearest training rows of each query row, nearest first.
 
     Returns ``(order, dists)``: ``order`` equals
@@ -244,18 +252,28 @@ def nearest(kind: str, queries, train, k: int) -> tuple[np.ndarray, np.ndarray]:
     (rank ties go to the lower training-row index; ``k`` above the training
     size yields every row) and ``dists`` holds the ``pairwise`` values at
     those positions, bit for bit.  Neither the full distance matrix nor a
-    full sort is needed: euclidean distances are computed exactly only for
-    a shortlist sized by a floating-point error bound, and angle distances
-    keep every entry up to the k-th smallest before sorting.
+    full sort is needed: a shortlist keeps, per row, every entry up to the
+    k-th smallest (euclidean: of the Gram values, widened by a floating-point
+    error bound), and only the shortlist is ranked, on exact distances.
+
+    Unless ``ordered``, ``dists`` is None and a row of ``order`` may hold its
+    k rows in any order, which is all a uniform vote needs: a shortlist block
+    k wide holds each row's first k already, and is not ranked.
     """
     if k < 1:
         raise KernelcastError("k must be at least 1")
     q, t = _validated(kind, queries, train)
     k = min(k, t.shape[0])
-    if kind == "euclidean":
-        return _nearest_euclidean(q, t, k)
-    dists = pairwise(kind, q, t)
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    # Every entry up to the k-th value, so ties at it are complete.
-    cols, vals = _pack(~(dists > kth[:, None]), dists)
-    return _first_k(cols, vals, k)
+    order = np.empty((q.shape[0], k), dtype=np.intp)
+    dists = np.empty(order.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols, vals in _shortlists(kind, q, t, k):
+            if ordered or cols.shape[1] > k:
+                if vals is None:  # by _euclidean_matrix's subtraction; padding points at NaN
+                    pad = cols[:, -1].max() == t.shape[0]  # short rows end in padding
+                    vals = (np.vstack([t, np.full(t.shape[1], np.nan)]) if pad else t)[cols]
+                    np.subtract(q[rows, None, :], vals, out=vals)
+                    vals = np.sqrt(np.einsum("ijk,ijk->ij", vals, vals))
+                cols, dists[rows] = _first_k(cols, vals, k)
+            order[rows] = cols
+    return order, dists if ordered else None

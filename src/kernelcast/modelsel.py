@@ -16,7 +16,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -308,6 +308,8 @@ class EvalOutcome:
     seed: int
     wall_time: float
     error: str | None = None
+    # The failing error's class, for the search's failure census; never serialized.
+    error_class: str | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -351,11 +353,12 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         started = time.perf_counter()
         try:
             ber = evaluate_config(cfg, folds, seed, references)
-            error = None
+            error = error_class = None
         except errors.KernelcastError as exc:  # anything else is a bug and propagates
             ber = math.inf
-            error = str(exc)
-        return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error)
+            error, error_class = str(exc), type(exc).__name__
+        return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error,
+                           error_class)
 
     def evaluate_stage(positions: list[int]) -> list[EvalOutcome]:
         # The stage's references live only as long as this call.

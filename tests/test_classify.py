@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from kernelcast import classify, geometry
-from kernelcast.classify import (ClassifierError, GnbModel, KnnParams,
+from kernelcast.classify import (ClassifierError, GnbModel, KnnModel, KnnParams,
                                  gnb_fit, gnb_predict, knn_fit, knn_predict)
 from kernelcast.data import Dataset
 from spies import ArgmaxSpy
+from test_geometry import NEAREST_INPUTS
 
 
 def mapped(features, labels, n_classes=None):
@@ -121,6 +122,64 @@ def test_knn_vote_scores_equal_the_scatter_add_bit_for_bit(monkeypatch, distance
             assert scores.shape == want.shape
             assert np.array_equal(scores.astype(float).view(np.int64), want.view(np.int64))
             assert np.array_equal(got, np.argmax(want, axis=1))
+
+
+def non_finite_rows(rng, n, m, d):
+    queries, train = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    for rows in (queries, train):
+        bad = np.flatnonzero(rng.random(rows.shape[0]) < 0.2)
+        rows[bad, rng.integers(0, d, size=bad.size)] = rng.choice([np.inf, -np.inf, np.nan],
+                                                                  size=bad.size)
+    return queries, train
+
+
+def brute_force_vote(distance, weighting, train, labels, queries, k, n_classes):
+    full = geometry.pairwise(distance, queries, train)
+    order = np.argsort(full, axis=1, kind="stable")[:, :k]
+    dists = np.take_along_axis(full, order, axis=1)
+    weights = np.ones(order.shape) if weighting == "uniform" else 1.0 / (1e-9 + dists)
+    return np.argmax(scatter_add_scores(labels, order, weights, n_classes), axis=1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("distance", ["euclidean", "angle"])
+def test_knn_vote_equals_a_brute_force_vote_on_either_route(monkeypatch, distance):
+    blocks, ranked = [], []  # shortlist blocks of geometry.nearest, and those it ranked
+    shortlists, first_k = geometry._shortlists, geometry._first_k
+
+    def watched_shortlists(*args):
+        for block in shortlists(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(geometry, "_shortlists", watched_shortlists)
+    monkeypatch.setattr(geometry, "_first_k", lambda *args: ranked.append(args) or first_k(*args))
+    set_route = fallback = 0  # blocks of the uniform votes
+    rng = np.random.default_rng(23)
+    for make in NEAREST_INPUTS + [non_finite_rows]:
+        for _ in range(15):
+            n, m, d, c = (int(x) for x in rng.integers(1, [30, 25, 6, 5]))
+            # one to three query rows per euclidean block
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", m * (d + 8) * int(rng.integers(1, 4)))
+            queries, train = make(rng, n, m, d)
+            labels = rng.integers(0, c, size=m)
+            for k in {1, m // 2 + 1, m, m + 2}:
+                for weighting in ("uniform", "distance"):
+                    del blocks[:], ranked[:]
+                    # knn_fit would refuse the non-finite rows
+                    model = KnnModel(train, labels, params(k, weighting, distance), c)
+                    got = knn_predict(model, queries)
+                    want = brute_force_vote(distance, weighting, train, labels, queries, k, c)
+                    assert np.array_equal(got, want), (make.__name__, k, weighting)
+                    if weighting == "distance":
+                        assert len(ranked) == len(blocks)
+                        continue
+                    # a block min(k, m) wide is its rows' first-k set; only the others are ranked
+                    wide = [cols.shape[1] > min(k, m) for _, cols, _ in blocks]
+                    assert len(ranked) == sum(wide)
+                    set_route += len(blocks) - sum(wide)
+                    fallback += sum(wide)
+    assert set_route > 0 and fallback > 0
 
 
 def test_knn_rejects_bad_params():

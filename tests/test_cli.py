@@ -80,6 +80,26 @@ def test_search_without_viable_configuration_exits_nonzero(tmp_path, capsys):
     assert "error: search produced no viable configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_prints_a_failure_census_only_when_configurations_fail(tmp_path, monkeypatch,
+                                                                      capsys, threads):
+    monkeypatch.setenv("KERNELCAST_THREADS", threads)
+    # 8 training rows per fold: configurations with 16 or more references fail
+    write_labeled_csv(tmp_path / "small.csv", make_blobs(n_per_class=6, spread=0.5, seed=5))
+    out = tmp_path / "r.json"
+    assert main(["search", "--data", str(tmp_path / "small.csv"), "--budget", "30",
+                 "--out", str(out)]) == 0
+    failed = sum(e["error"] is not None for e in json.loads(out.read_text())["evaluated"])
+    assert 0 < failed < 30
+    assert capsys.readouterr().err == f"failed {failed} (SamplingError: {failed})\n"
+    # 66 training rows per fold hold every reference count
+    write_labeled_csv(tmp_path / "large.csv", make_blobs(n_per_class=50, spread=0.5, seed=5))
+    assert main(["search", "--data", str(tmp_path / "large.csv"), "--budget", "30",
+                 "--out", str(out)]) == 0
+    assert all(e["error"] is None for e in json.loads(out.read_text())["evaluated"])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "-3"])
 def test_threads_env_var_rejects_bad_values(workdir, tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("KERNELCAST_THREADS", value)

@@ -613,7 +613,7 @@ def quote_cell(rng, cell, label, bad_rate):
 
 
 def random_csv_layout(rng, labeled):
-    """CSV text with CRLF or LF line ends, blank lines before any header, the label
+    """CSV text with LF, CRLF or lone-CR line ends, blank lines before any header, the label
     column first, in the middle or last, and sometimes exactly two data rows.  In
     two files of three some cells are quoted: numbers, and labels holding commas,
     doubled quotes or line breaks (LF, or CR LF in one file of four); a quote may be
@@ -622,7 +622,7 @@ def random_csv_layout(rng, labeled):
     label_idx = int(rng.choice([0, width // 2, width - 1])) if labeled else None
     has_header = bool(rng.integers(2))
     bad_rate = [0.0, 0.0, 0.01, 0.05][rng.integers(4)]
-    end = ["\n", "\r\n"][rng.integers(2)]
+    end = ["\n", "\r\n", "\r"][rng.integers(3)]
     quote_rate = [0.0, 0.15, 0.4][rng.integers(3)]
     inner_break = "\r\n" if rng.random() < 0.25 else "\n"  # a line break inside quotes
     lines = [""] * int(rng.integers(3))
@@ -734,6 +734,15 @@ def test_row_scan_carries_the_quote_state_across_reads(tmp_path):
     assert not data._plain_text(literal)
 
 
+@pytest.fixture
+def small_field_limit():
+    """A field limit of 64: longer than each row of the route cases, shorter than
+    their lone-CR files read as one row."""
+    old = csv.field_size_limit(64)
+    yield
+    csv.field_size_limit(old)
+
+
 @pytest.mark.parametrize("text,route,expected", [
     ("1_0,2,a\n3,4,b\n", "csv", [[10.0, 2.0], [3.0, 4.0]]),
     ("١٢,2,a\n3,4,b\n", "csv", [[12.0, 2.0], [3.0, 4.0]]),
@@ -751,10 +760,13 @@ def test_row_scan_carries_the_quote_state_across_reads(tmp_path):
     ('1,2,"a\r\nb"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
     ('1,2,a"b\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
     ('1,2, "a"\n3,4,b\n', "csv", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,a\r" + "3,4,b\r" * 20, "numpy", [[1.0, 2.0]] + [[3.0, 4.0]] * 20),
+    ('1,2,"a\nb"\r' + "3,4,b\r" * 20, "numpy", [[1.0, 2.0]] + [[3.0, 4.0]] * 20),
 ], ids=["underscore", "arabic-digits", "separators", "overflow", "byte-order-mark", "quoted",
         "quoted-label", "crlf", "hash", "whitespace-row", "empty-cell", "byte-order-mark-quoted",
-        "quoted-lf-and-comma", "quoted-crlf", "quote-inside-a-cell", "space-before-a-quote"])
-def test_reader_route_and_result(tmp_path, monkeypatch, text, route, expected):
+        "quoted-lf-and-comma", "quoted-crlf", "quote-inside-a-cell", "space-before-a-quote",
+        "lone-cr", "lone-cr-quoted"])
+def test_reader_route_and_result(tmp_path, monkeypatch, small_field_limit, text, route, expected):
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
     path = str(path)
