@@ -232,15 +232,10 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
         bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
         kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
         cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
-        # A finite bound means finite rows and a NaN-free Gram block: the terms
-        # of a.(-2b) sum to at most 2|a||b| <= (|a| + |b|)^2 / 2 in magnitude,
-        # so it stays finite, and adding the squared norms cannot meet inf - inf.
-        # Then the two masks agree, and each row keeps at least its k smallest
-        # values.  Otherwise NaN compares false: a block whose bound, or a row
-        # whose Gram values are not finite (inf/NaN input, overflowing norms),
-        # keeps every column.
-        keep = gram <= cutoff[:, None] if np.isfinite(bound) else ~(gram > cutoff[:, None])
-        yield slice(i, i + step), _pack(keep, k)[0], None
+        # Each row keeps at least its k smallest values, as NaN compares false:
+        # a block whose bound, or a row whose Gram values are not finite
+        # (inf/NaN input, overflowing norms), keeps every column.
+        yield slice(i, i + step), _pack(~(gram > cutoff[:, None]), k)[0], None
 
 
 def nearest(kind: str, queries, train, k: int,
@@ -266,12 +261,13 @@ def nearest(kind: str, queries, train, k: int,
     k = min(k, t.shape[0])
     order = np.empty((q.shape[0], k), dtype=np.intp)
     dists = np.empty(order.shape)
+    # Padding cells point at an all-NaN row, so their distance is NaN.
+    padded = np.concatenate([t, np.full((1, t.shape[1]), np.nan)])
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols, vals in _shortlists(kind, q, t, k):
             if ordered or cols.shape[1] > k:
-                if vals is None:  # by _euclidean_matrix's subtraction; padding points at NaN
-                    pad = cols[:, -1].max() == t.shape[0]  # short rows end in padding
-                    vals = (np.vstack([t, np.full(t.shape[1], np.nan)]) if pad else t)[cols]
+                if vals is None:  # by _euclidean_matrix's subtraction
+                    vals = padded[cols]
                     np.subtract(q[rows, None, :], vals, out=vals)
                     vals = np.sqrt(np.einsum("ijk,ijk->ij", vals, vals))
                 cols, dists[rows] = _first_k(cols, vals, k)

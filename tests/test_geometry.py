@@ -192,6 +192,9 @@ def assert_nearest_is_stable_argsort_prefix(kind, queries, train, k):
     assert order.shape == want.shape and np.array_equal(order, want)
     want_dists = np.take_along_axis(full, want, axis=1)
     assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))
+    # unordered: the same first-k set per row, in any order
+    order, dists = geometry.nearest(kind, queries, train, k, ordered=False)
+    assert dists is None and np.array_equal(np.sort(order, axis=1), np.sort(want, axis=1))
 
 
 def gaussian_rows(rng, n, m, d):
@@ -241,11 +244,15 @@ NEAREST_INPUTS = [gaussian_rows, duplicate_rows, lattice_rows, zero_rows, offset
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("make", NEAREST_INPUTS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
-def test_nearest_equals_stable_argsort_prefix(kind, make):
-    rng = np.random.default_rng(9)
+def test_nearest_equals_stable_argsort_prefix(monkeypatch, kind, make):
+    rng, blocks = np.random.default_rng(9), np.random.default_rng(19)
+    default = geometry._BLOCK_ELEMENTS
     for _ in range(25):
         n, m, d = (int(x) for x in rng.integers(1, [20, 40, 10]))
         queries, train = make(rng, n, m, d)
+        # one to three query rows per euclidean block, or the default block size
+        small = m * (d + 8) * int(blocks.integers(1, 4))
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", small if blocks.random() < 0.5 else default)
         for k in {1, m // 2 + 1, m, m + 3}:
             assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
 
@@ -287,10 +294,10 @@ def test_nearest_rejects_bad_arguments():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
 def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
-    widths = []  # distinct kept counts per packed block
+    kept = []  # per packed block: distinct kept counts, and whether a row keeps more than k
     pack = geometry._pack
-    monkeypatch.setattr(geometry, "_pack", lambda keep, *rest: widths.append(
-        np.unique(keep.sum(axis=1)).size) or pack(keep, *rest))
+    monkeypatch.setattr(geometry, "_pack", lambda keep, k, *rest: kept.append(
+        (np.unique(keep.sum(axis=1)).size, keep.sum(axis=1).max() > k)) or pack(keep, k, *rest))
     rng = np.random.default_rng(13)
     for _ in range(80):
         n, m, d = (int(x) for x in rng.integers(1, [30, 25, 5]))
@@ -307,5 +314,6 @@ def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
                                                                       size=bad.size)
         for k in {1, m // 2 + 1, m}:
             assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
-    # both the padded and the uniform-width packing ran
-    assert 1 in widths and max(widths) > 1
+    # both the padded and the uniform-width packing ran, on blocks exactly k wide and wider
+    widths, wide = zip(*kept)
+    assert 1 in widths and max(widths) > 1 and any(wide) and not all(wide)
