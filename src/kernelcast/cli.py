@@ -1,19 +1,18 @@
 """Command-line interface: search, train, predict, consensus, benchmark.
 
-All commands exit 0 on success; failures print ``error: <message>`` to
-standard error and exit 1.  Reports and models are JSON documents; repeated
-runs with the same seed reproduce them byte for byte apart from wall-time
-fields.  KERNELCAST_THREADS sets how many forked worker processes evaluate a
-search (0 = one per CPU, capped at the CPU count; sequential where fork is
-unavailable).
+All commands exit 0 on success.  A domain error (bad data, parameters or
+documents) or an OS error prints ``error: <message>`` to standard error and
+exits 1; anything else is a bug and propagates with its traceback.  Reports
+and models are JSON documents; repeated runs with the same seed reproduce
+them byte for byte apart from wall-time fields.  KERNELCAST_THREADS sets how
+many forked worker processes evaluate a search (0 = one per CPU, capped at
+the CPU count; sequential where fork is unavailable).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
-import json
 import sys
 from collections import Counter
 
@@ -25,8 +24,8 @@ from .ensemble import (DEFAULT_ENSEMBLE_SIZE, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
 from .kernelmap import map_matrix
 from .modelsel import (DEFAULT_FOLD_COUNT, DEFAULT_SAMPLE_SIZE, Configuration,
-                       KmsModel, balanced_error_rate, grid_search, kms_fit,
-                       kms_predict, random_search)
+                       KmsModel, SearchReport, _digest64, balanced_error_rate,
+                       grid_search, kms_fit, kms_predict, random_search)
 from .sampling import SAMPLER_KINDS
 
 BENCHMARK_METHODS = ("kms-rs", "kms-gs", "kms-random", "kms-density", "kms-fft", "kms-kmeans",
@@ -101,12 +100,7 @@ def cmd_train(args) -> int:
         if args.ensemble_size:
             raise CliError("--ensemble-size requires --report (ensembles come from a search)")
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CliError(f"{args.config}: not a JSON document: {exc}") from None
-        try:
-            cfg = Configuration.from_dict(doc)
+            cfg = Configuration.from_dict(serialize.read_json(args.config))
         except KeyError as exc:
             raise CliError(f"{args.config}: configuration is missing field "
                            f"{exc.args[0]!r}") from None
@@ -117,6 +111,8 @@ def cmd_train(args) -> int:
         print(f"trained single model -> {args.out}")
         return 0
     report = serialize.load(args.report)
+    if not isinstance(report, SearchReport):
+        raise CliError("--report must point to a search report document")
     if tuple(report.data_shape) != (ds.n, ds.dim, ds.n_classes):
         print(f"warning: training data shape {(ds.n, ds.dim, ds.n_classes)} differs "
               f"from the searched data shape {tuple(report.data_shape)}", file=sys.stderr)
@@ -165,6 +161,8 @@ def cmd_predict(args) -> int:
 def cmd_consensus(args) -> int:
     ds = _load_training(args)
     report = serialize.load(args.report)
+    if not isinstance(report, SearchReport):
+        raise CliError("--report must point to a search report document")
     eval_ds = None
     if args.eval_data is not None:
         eval_ds = load_csv(args.eval_data, label_column=args.label_col,
@@ -194,18 +192,12 @@ def rank_with_mid_ties(values: list[float]) -> list[float]:
 
 
 def _cell_seed(master: int, name: str, split: int, mode: str, flt: str | None) -> int:
-    blob = json.dumps([name, split, mode, flt]).encode("utf-8")
-    digest = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    return rand.seed_from(master, rand.BENCH, digest)
+    return rand.seed_from(master, rand.BENCH, _digest64([name, split, mode, flt]))
 
 
 def _load_manifest(path) -> list[dict]:
     """The manifest's dataset entries, each checked before any CSV is read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CliError(f"{path}: not a JSON document: {exc}") from None
+    doc = serialize.read_json(path)
     datasets = doc.get("datasets") if isinstance(doc, dict) else None
     if not isinstance(datasets, list) or not datasets:
         raise CliError(f"{path}: manifest must contain a non-empty 'datasets' list")
@@ -381,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
+    except (errors.KernelcastError, OSError) as exc:  # anything else is a bug and propagates
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,11 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _diff_norms(diff: np.ndarray) -> np.ndarray:
+    # The one euclidean formula: nearest's exact recompute must equal pairwise bit for bit.
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
 def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Exact blockwise subtraction rather than the ||a||^2 - 2ab + ||b||^2
     # expansion: identical rows must come out at distance exactly 0.
@@ -47,8 +52,7 @@ def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((n, m), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // max(1, m * a.shape[1]))
     for i in range(0, n, step):
-        diff = a[i:i + step, None, :] - b[None, :, :]
-        out[i:i + step] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        out[i:i + step] = _diff_norms(a[i:i + step, None, :] - b[None, :, :])
     return out
 
 
@@ -268,8 +272,7 @@ def nearest(kind: str, queries, train, k: int,
             if ordered or cols.shape[1] > k:
                 if vals is None:  # by _euclidean_matrix's subtraction
                     vals = padded[cols]
-                    np.subtract(q[rows, None, :], vals, out=vals)
-                    vals = np.sqrt(np.einsum("ijk,ijk->ij", vals, vals))
+                    vals = _diff_norms(np.subtract(q[rows, None, :], vals, out=vals))
                 cols, dists[rows] = _first_k(cols, vals, k)
             order[rows] = cols
     return order, dists if ordered else None

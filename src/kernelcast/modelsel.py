@@ -42,7 +42,7 @@ class SearchError(errors.KernelcastError):
     """Invalid search parameters."""
 
 
-def _digest64(doc: dict) -> int:
+def _digest64(doc) -> int:
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
@@ -237,18 +237,18 @@ def prepare_folds(ds: Dataset, fold_of: np.ndarray, scaler: str) -> list[Prepare
             for fold in range(int(fold_of.max()) + 1)]
 
 
-def fit_pipeline(cfg: Configuration, train: Dataset | PreparedFold, seed: int | None = None,
-                 refs: ReferenceSet | None = None) -> KmsModel:
-    """Fit scaler, references, and internal classifier on one training set.
+def sample_references(cfg: Configuration, fold: PreparedFold, seed: int) -> ReferenceSet:
+    """The references of ``cfg``'s stage on one prepared fold, sampled with ``seed``."""
+    return make_reference_set(fold.train, cfg.sampler, cfg.k_references, cfg.sampling_distance,
+                              cfg.ref_type, seed, fold.geometry)
 
-    A Dataset is scaled here; a PreparedFold, scaled by the configuration's
-    scaler kind, brings its scaled rows and their geometry.  References are
-    sampled with ``seed`` unless the stage's ``refs`` on this set are given.
+
+def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet) -> KmsModel:
+    """Fit the kernel map and internal classifier on one prepared fold.
+
+    ``fold`` is scaled by the configuration's scaler kind, and ``refs`` are
+    its stage's references sampled on the fold's rows.
     """
-    fold = train if isinstance(train, PreparedFold) else prepare_fold(cfg.scaler, train)
-    if refs is None:
-        refs = make_reference_set(fold.train, cfg.sampler, cfg.k_references,
-                                  cfg.sampling_distance, cfg.ref_type, seed, fold.geometry)
     mapped = map_dataset(fold.train, refs, cfg.kernel)
     inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
     return KmsModel(cfg, fold.scaler, refs, inner, list(fold.train.label_names))
@@ -271,29 +271,24 @@ def stage_references(cfg: Configuration, folds: list[PreparedFold],
     of a stage fits on the same sets, whatever the evaluation order.
     """
     stage = stage_digest(cfg)
-    return [make_reference_set(fold.train, cfg.sampler, cfg.k_references, cfg.sampling_distance,
-                               cfg.ref_type, rand.seed_from(seed, rand.FOLD_EVAL, stage, i),
-                               fold.geometry)
+    return [sample_references(cfg, fold, rand.seed_from(seed, rand.FOLD_EVAL, stage, i))
             for i, fold in enumerate(folds)]
 
 
-def evaluate_config(cfg: Configuration, folds: list[PreparedFold], seed: int,
-                    references: list[ReferenceSet] | errors.KernelcastError | None = None) -> float:
+def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
+                    references: list[ReferenceSet] | errors.KernelcastError) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
     folds only and scores on the held-out rows.  ``references`` are the
     ``stage_references`` of ``cfg``, or the domain error their sampling
-    raised, which fails this configuration too; without them they are
-    sampled here.  Fit errors propagate.
+    raised, which fails this configuration too.  Fit errors propagate.
     """
-    if references is None:
-        references = stage_references(cfg, folds, seed)
-    elif isinstance(references, errors.KernelcastError):
+    if isinstance(references, errors.KernelcastError):
         raise references.with_traceback(None)  # shared by the stage: keep its traceback short
     bers = []
     for fold, refs in zip(folds, references):
-        fitted = fit_pipeline(cfg, fold, refs=refs)
+        fitted = fit_pipeline(cfg, fold, refs)
         predicted = pipeline_predict(fitted, fold.held_out.features)
         bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
     return float(np.mean(bers))
@@ -352,7 +347,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
     def evaluate(cfg: Configuration, references) -> EvalOutcome:
         started = time.perf_counter()
         try:
-            ber = evaluate_config(cfg, folds, seed, references)
+            ber = evaluate_config(cfg, folds, references)
             error = error_class = None
         except errors.KernelcastError as exc:  # anything else is a bug and propagates
             ber = math.inf
@@ -426,9 +421,11 @@ def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
     """Fit one configuration on a full training set."""
     if ds.n_classes < 2:
         raise SearchError("training requires a dataset with at least 2 classes")
-    model = fit_pipeline(cfg, ds, rand.seed_from(seed, rand.FIT, stage_digest(cfg)))
+    fold = prepare_fold(cfg.scaler, ds)
+    refs = sample_references(cfg, fold, rand.seed_from(seed, rand.FIT, stage_digest(cfg)))
+    model = fit_pipeline(cfg, fold, refs)
     model.cv_ber = cv_ber
-    model.refs.fitted_rows = model.refs.fitted_dists = None  # mapped once; keep no n x k matrix
+    refs.fitted_rows = refs.fitted_dists = None  # mapped once; keep no n x k matrix
     return model
 
 

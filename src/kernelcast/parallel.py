@@ -17,6 +17,8 @@ from __future__ import annotations
 import os
 import sys
 
+from .errors import KernelcastError
+
 ENV_VAR = "KERNELCAST_THREADS"
 CHUNKS_PER_WORKER = 4
 _PR_SET_PDEATHSIG = 1  # prctl option from <sys/prctl.h>
@@ -31,7 +33,7 @@ def thread_limit(explicit: int | None = None, n_items: int | None = None) -> int
     if explicit is None:
         raw = os.environ.get(ENV_VAR, "").strip()
         if raw and not raw.isdecimal():
-            raise ValueError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
+            raise KernelcastError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
         explicit = int(raw) if raw else 1
     cpus = os.cpu_count() or 1
     limit = cpus if explicit == 0 else min(explicit, cpus)

@@ -357,7 +357,10 @@ def from_json(text: str):
     A missing field, a field of the wrong type or a document whose fields
     disagree raises FormatError.
     """
-    doc = json.loads(text)
+    return _from_doc(json.loads(text))
+
+
+def _from_doc(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("document is missing its kind")
     if doc.get("version") != FORMAT_VERSION:
@@ -392,10 +395,15 @@ def save(obj, path) -> None:
     write_text(path, to_json(obj))
 
 
-def load(path):
-    """Read a document; a file that is not JSON text raises FormatError naming it."""
+def read_json(path):
+    """Parse a JSON file; a file that is not JSON text raises FormatError naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return from_json(fh.read())
+            return json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: not a JSON document: {exc}") from None
+
+
+def load(path):
+    """Read a document written by save."""
+    return _from_doc(read_json(path))

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcast.cli import (BENCHMARK_METHODS, _parse_method, main,
+from kernelcast import modelsel
+from kernelcast.cli import (BENCHMARK_METHODS, _cell_seed, _parse_method, main,
                            rank_with_mid_ties)
 from kernelcast.data import load_csv
 from kernelcast.kernelmap import map_matrix
@@ -78,6 +79,17 @@ def test_search_without_viable_configuration_exits_nonzero(tmp_path, capsys):
     assert len(doc["evaluated"]) == 5
     assert all(e["cv_ber"] is None and e["error"] for e in doc["evaluated"])
     assert "error: search produced no viable configuration" in capsys.readouterr().err
+
+
+def test_a_programming_error_is_not_an_error_line(workdir, tmp_path, monkeypatch, capsys):
+    def raise_type_error(*args):
+        raise TypeError("simulated bug")
+
+    monkeypatch.setattr(modelsel, "map_dataset", raise_type_error)
+    with pytest.raises(TypeError, match="simulated bug"):
+        main(["search", "--data", str(workdir / "train.csv"), "--budget", "2",
+              "--out", str(tmp_path / "r.json")])
+    assert "error:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -238,6 +250,22 @@ def test_predict_dump_mapped_rejects_ensemble_before_writing(workdir, tmp_path, 
                  "--dump-mapped", str(mapped), "--out", str(out)]) == 1
     assert "--dump-mapped works only with single models" in capsys.readouterr().err
     assert not out.exists() and not mapped.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "consensus", "predict"])
+def test_a_document_of_the_wrong_kind_is_named(workdir, tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    data = ["--data", str(workdir / "train.csv")]
+    assert main(["train", *data, "--report", str(workdir / "report.json"),
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    argv = {"train": ["--report", str(model)], "consensus": ["--report", str(model)],
+            "predict": ["--model", str(workdir / "report.json")]}[command]
+    assert main([command, *data, *argv, "--out", str(tmp_path / "out")]) == 1
+    flag = argv[0]
+    wanted = "a search report" if flag == "--report" else "a model or ensemble"
+    assert capsys.readouterr().err == f"error: {flag} must point to {wanted} document\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("ensemble_size", [None, "2"], ids=["single", "ensemble"])
@@ -431,6 +459,11 @@ def test_rank_mid_tie_values():
     assert rank_with_mid_ties([0.2, 0.1, 0.2, 0.2]) == [3.0, 1.0, 3.0, 3.0]
     assert rank_with_mid_ties([0.2, 0.2, 0.1, 0.3, 0.3, 0.3]) == [2.5, 2.5, 1.0, 5.0, 5.0, 5.0]
     assert rank_with_mid_ties([0.4] * 4) == [2.5] * 4
+
+
+def test_benchmark_cell_seeds_are_unchanged():
+    assert _cell_seed(0, "banana", 0, "random", None) == 145348396053793712
+    assert _cell_seed(7, 'Gländ "x"', 3, "grid", "kmeans") == 13246196173814133687
 
 
 def test_help_exits_zero():

@@ -8,7 +8,8 @@ from kernelcast import geometry, serialize
 from kernelcast.data import Dataset
 from kernelcast.kernelmap import (KERNEL_KINDS, KernelError, kernel_matrix,
                                   map_dataset, map_matrix)
-from kernelcast.modelsel import Configuration, fit_pipeline, kms_fit
+from kernelcast.modelsel import (Configuration, fit_pipeline, kms_fit, prepare_fold,
+                                 sample_references)
 from kernelcast.sampling import REF_TYPES, SAMPLER_KINDS, ReferenceSet, make_reference_set
 from synthdata import random_dataset
 
@@ -176,7 +177,8 @@ def test_a_reloaded_model_carries_no_sampler_distances(classifier):
         ref_type="centers", classifier=classifier,
         knn=dict(neighbors=3, weighting="uniform", distance="euclidean")
         if classifier == "knn" else None))
-    model = fit_pipeline(cfg, ds, seed=3)
+    fold = prepare_fold(cfg.scaler, ds)
+    model = fit_pipeline(cfg, fold, sample_references(cfg, fold, 3))
     assert model.refs.fitted_dists is not None
     loaded = serialize.kms_from_doc(serialize.kms_to_doc(model))
     assert loaded.refs.fitted_rows is None and loaded.refs.fitted_dists is None

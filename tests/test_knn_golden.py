@@ -14,7 +14,8 @@ import pytest
 
 from kernelcast.classify import KnnParams
 from kernelcast.modelsel import (KNN_NEIGHBOR_CHOICES, Configuration,
-                                 fit_pipeline, pipeline_predict)
+                                 fit_pipeline, pipeline_predict, prepare_fold,
+                                 sample_references)
 from synthdata import benchmark_splits, make_banana_pool
 
 GOLDEN = {
@@ -49,6 +50,8 @@ def test_knn_predictions_match_golden_digest(banana, neighbors, weighting, dista
     train, test = banana
     cfg = Configuration(16, "euclidean", "random", "gaussian", "centers", "knn",
                         KnnParams(neighbors, weighting, distance))
-    predicted = pipeline_predict(fit_pipeline(cfg, train, seed=11), test.features)
+    fold = prepare_fold(cfg.scaler, train)
+    model = fit_pipeline(cfg, fold, sample_references(cfg, fold, 11))
+    predicted = pipeline_predict(model, test.features)
     digest = hashlib.sha256(predicted.astype("<i8").tobytes()).hexdigest()
     assert digest == GOLDEN[(neighbors, weighting, distance)]

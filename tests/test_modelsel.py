@@ -15,8 +15,12 @@ from kernelcast.modelsel import (Configuration, SearchError,
                                  balanced_error_rate, config_digest,
                                  enumerate_grid, evaluate_config,
                                  fit_pipeline, grid_search, kms_fit,
-                                 kms_predict, pipeline_predict, prepare_folds,
-                                 random_search, stage_digest)
+                                 kms_predict, pipeline_predict, prepare_fold,
+                                 prepare_folds, random_search,
+                                 sample_references, stage_digest,
+                                 stage_references)
+from kernelcast.kernelmap import KernelError
+from kernelcast.sampling import SamplingError
 from kernelcast.serialize import from_json, to_json
 from synthdata import make_blobs, random_dataset
 
@@ -319,17 +323,22 @@ def test_tie_goes_to_first_evaluated():
 
 # ----------------------------------------------------- pipeline / leaks
 
+def fit_on(cfg, ds, seed):
+    fold = prepare_fold(cfg.scaler, ds)
+    return fit_pipeline(cfg, fold, sample_references(cfg, fold, seed))
+
+
 def test_fit_pipeline_ignores_rows_outside_subset():
     rng = np.random.default_rng(10)
     base = random_dataset(rng, 36, 3)
     extra = random_dataset(rng, 36, 3)
     cfg = knn_config()
     train_ids = np.arange(18)
-    a = fit_pipeline(cfg, base.subset(train_ids), seed=11)
+    a = fit_on(cfg, base.subset(train_ids), seed=11)
     swapped = Dataset(np.vstack([base.features[:18], extra.features[18:]]),
                       np.concatenate([base.labels[:18], extra.labels[18:]]),
                       base.label_names)
-    b = fit_pipeline(cfg, swapped.subset(train_ids), seed=11)
+    b = fit_on(cfg, swapped.subset(train_ids), seed=11)
     queries = rng.normal(size=(10, 3))
     assert np.array_equal(pipeline_predict(a, queries), pipeline_predict(b, queries))
 
@@ -339,18 +348,37 @@ def test_evaluate_config_mean_over_folds():
     folds = make_folds(ds, 3, seed=0)
     cfg = knn_config(k_references=8)
     prepared = prepare_folds(ds, folds, cfg.scaler)
-    score = evaluate_config(cfg, prepared, seed=13)
-    again = evaluate_config(cfg, prepared, seed=13)  # now with the folds' distances kept
+    score = evaluate_config(cfg, prepared, stage_references(cfg, prepared, 13))
+    # sampled again, now with the folds' distances kept
+    again = evaluate_config(cfg, prepared, stage_references(cfg, prepared, 13))
     assert score == again
     assert 0.0 <= score <= 2.0
 
 
 def test_evaluate_config_propagates_failures():
-    ds = make_blobs(n_per_class=6, spread=0.3, seed=12)
+    # References of the wrong width sample fine and fail only in the fit.
+    ds = make_blobs(n_per_class=12, spread=0.3, seed=12)
     folds = make_folds(ds, 3, seed=0)
+    cfg = knn_config()
+    wider = Dataset(np.hstack([ds.features, ds.features[:, :1]]), ds.labels, ds.label_names)
+    references = stage_references(cfg, prepare_folds(wider, folds, cfg.scaler), 0)
+    with pytest.raises(KernelError, match="does not match reference width"):
+        evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), references)
+
+
+def test_evaluate_config_reraises_the_stage_error_without_sampling(monkeypatch):
+    ds = make_blobs(n_per_class=6, spread=0.3, seed=12)
+    folds = prepare_folds(ds, make_folds(ds, 3, seed=0), "none")
     cfg = knn_config(k_references=64)
-    with pytest.raises(Exception):
-        evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), seed=0)
+    with pytest.raises(SamplingError) as stage:
+        stage_references(cfg, folds, 0)
+    sampled = []
+    monkeypatch.setattr(modelsel, "make_reference_set", lambda *a, **kw: sampled.append(a))
+    for _ in range(2):  # every configuration of the stage gets the same error
+        with pytest.raises(SamplingError) as failure:
+            evaluate_config(cfg, folds, stage.value)
+        assert str(failure.value) == str(stage.value)
+    assert sampled == []
 
 
 # --------------------------------------------------------------- stages
@@ -446,11 +474,15 @@ def test_evaluate_config_samples_the_stage_as_the_search_does():
     assert any(e.error is None for e in report.entries)
     assert any(e.error is not None for e in report.entries)
     for e in report.entries:
+        try:
+            references = stage_references(e.config, folds, 8)
+        except KernelcastError as exc:
+            references = exc
         if e.error is None:
-            assert evaluate_config(e.config, folds, seed=8) == e.cv_ber
+            assert evaluate_config(e.config, folds, references) == e.cv_ber
         else:
-            with pytest.raises(ValueError) as failure:
-                evaluate_config(e.config, folds, seed=8)
+            with pytest.raises(KernelcastError) as failure:
+                evaluate_config(e.config, folds, references)
             assert str(failure.value) == e.error
 
 
