@@ -16,7 +16,9 @@ from .geometry import pairwise
 from .kernelmap import map_dataset
 from .modelsel import (Configuration, KmsModel, SearchReport,
                        balanced_error_rate, enumerate_grid, evaluate_config,
-                       grid_search, kms_fit, kms_predict, random_search)
+                       fit_pipeline, grid_search, kms_fit, kms_predict,
+                       prepare_fold, prepare_folds, random_search,
+                       sample_references, stage_references)
 from .sampling import (ReferenceSet, finalize_references, make_reference_set,
                        sample_density, sample_fft, sample_kmeans,
                        sample_random)
@@ -28,9 +30,10 @@ __all__ = [
     "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "apply_scaler",
     "balanced_error_rate", "build_ensemble", "consensus_curve",
     "ensemble_predict", "enumerate_grid", "evaluate_config",
-    "finalize_references", "fit_scaler", "grid_search", "kms_fit",
-    "kms_predict", "load_csv", "make_folds", "make_reference_set",
-    "map_dataset", "pairwise", "random_search", "sample_density",
-    "sample_fft", "sample_kmeans", "sample_random", "split_fold",
+    "finalize_references", "fit_pipeline", "fit_scaler", "grid_search",
+    "kms_fit", "kms_predict", "load_csv", "make_folds", "make_reference_set",
+    "map_dataset", "pairwise", "prepare_fold", "prepare_folds",
+    "random_search", "sample_density", "sample_fft", "sample_kmeans",
+    "sample_random", "sample_references", "split_fold", "stage_references",
     "stratified_split", "__version__",
 ]

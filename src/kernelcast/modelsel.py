@@ -172,30 +172,27 @@ def balanced_error_rate(truth, predicted, n_classes: int,
     return float((errors / np.maximum(count, 1)).mean())
 
 
-def enumerate_grid(scaler: str = "none") -> list[Configuration]:
-    """Deterministic enumeration of the full configuration grid.
+def _grid_fields(scaler: str) -> list[tuple]:
+    """The grid as Configuration field tuples, in enumeration order.
 
     kmeans rows are restricted to euclidean distance with centroid
     references; every other sampler spans both distances and both reference
-    types.  Each base row expands into one GNB and sixteen kNN variants.
+    types.  Each base row expands into one GNB and sixteen kNN variants;
+    every row shares the one KnnParams of its kNN variant.
     """
-    configs: list[Configuration] = []
-    for k in K_REFERENCE_CHOICES:
-        for sampler in SAMPLER_KINDS:
-            distances = ("euclidean",) if sampler == "kmeans" else DISTANCE_KINDS
-            ref_types = ("centroids",) if sampler == "kmeans" else REF_TYPES
-            for dist in distances:
-                for kernel in KERNEL_KINDS:
-                    for ref_type in ref_types:
-                        configs.append(Configuration(k, dist, sampler, kernel, ref_type,
-                                                     "gnb", None, scaler))
-                        for neighbors in KNN_NEIGHBOR_CHOICES:
-                            for weighting in ("uniform", "distance"):
-                                for knn_dist in DISTANCE_KINDS:
-                                    configs.append(Configuration(
-                                        k, dist, sampler, kernel, ref_type, "knn",
-                                        KnnParams(neighbors, weighting, knn_dist), scaler))
-    return configs
+    knns = [KnnParams(neighbors, weighting, knn_dist) for neighbors in KNN_NEIGHBOR_CHOICES
+            for weighting in ("uniform", "distance") for knn_dist in DISTANCE_KINDS]
+    return [(k, dist, sampler, kernel, ref_type, "gnb" if knn is None else "knn", knn, scaler)
+            for k in K_REFERENCE_CHOICES for sampler in SAMPLER_KINDS
+            for dist in (("euclidean",) if sampler == "kmeans" else DISTANCE_KINDS)
+            for kernel in KERNEL_KINDS
+            for ref_type in (("centroids",) if sampler == "kmeans" else REF_TYPES)
+            for knn in [None] + knns]
+
+
+def enumerate_grid(scaler: str = "none") -> list[Configuration]:
+    """Deterministic enumeration of the full configuration grid."""
+    return [Configuration(*fields) for fields in _grid_fields(scaler)]
 
 
 @dataclass
@@ -376,12 +373,15 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
                         (ds.n, ds.dim, ds.n_classes), fold_of)
 
 
-def _candidate_grid(scaler: str, sampler_filter: str | None) -> list[Configuration]:
-    grid = enumerate_grid(scaler)
+def _candidate_grid(scaler: str, sampler_filter: str | None) -> list[tuple]:
+    """The field tuples of the (possibly filtered) grid; nothing is constructed yet."""
+    if scaler not in SCALER_KINDS:
+        raise SearchError(f"unknown scaler {scaler!r}")
+    grid = _grid_fields(scaler)
     if sampler_filter is not None:
         if sampler_filter not in SAMPLER_KINDS:
             raise SearchError(f"unknown sampler filter {sampler_filter!r}")
-        grid = [cfg for cfg in grid if cfg.sampler == sampler_filter]
+        grid = [fields for fields in grid if fields[2] == sampler_filter]  # [2]: sampler
     if not grid:
         raise SearchError("sampler filter admits no configurations")
     return grid
@@ -394,17 +394,16 @@ def random_search(ds: Dataset, sample_size: int = DEFAULT_SAMPLE_SIZE,
     """Evaluate a uniform without-replacement sample of the grid.
 
     A sample size at or above the grid size evaluates the full grid in
-    enumeration order, making the run identical to grid_search.
+    enumeration order, making the run identical to grid_search.  Only the
+    sampled configurations are constructed.
     """
     if sample_size < 1:
         raise SearchError("sample_size must be at least 1")
     grid = _candidate_grid(scaler, sampler_filter)
-    if sample_size >= len(grid):
-        chosen = grid
-    else:
+    if sample_size < len(grid):
         rng = rand.derive(seed, rand.SEARCH)
-        picked = rng.choice(len(grid), size=sample_size, replace=False)
-        chosen = [grid[int(i)] for i in picked]
+        grid = [grid[int(i)] for i in rng.choice(len(grid), size=sample_size, replace=False)]
+    chosen = [Configuration(*fields) for fields in grid]
     return _run_search(ds, chosen, fold_count, seed, scaler, "random", sampler_filter, threads)
 
 
@@ -412,7 +411,7 @@ def grid_search(ds: Dataset, fold_count: int = DEFAULT_FOLD_COUNT, seed: int = 0
                 sampler_filter: str | None = None, scaler: str = "none",
                 threads: int | None = None) -> SearchReport:
     """Evaluate every configuration of the (possibly filtered) grid."""
-    grid = _candidate_grid(scaler, sampler_filter)
+    grid = [Configuration(*fields) for fields in _candidate_grid(scaler, sampler_filter)]
     return _run_search(ds, grid, fold_count, seed, scaler, "grid", sampler_filter, threads)
 
 

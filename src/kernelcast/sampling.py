@@ -230,13 +230,18 @@ def sample_fft(ds, k: int, dist: str, seed: int,
 
 def _region_means(features: np.ndarray, assign: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Mean of the rows assigned to each reference; an empty region keeps its row of refs."""
-    # One mean() per region, not np.add.at: on one-column data mean() sums
-    # pairwise, so a scatter-add would change the last bits.
+    k, d = refs.shape
+    counts = np.bincount(assign, minlength=k)
     means = refs.copy()
-    for j in range(refs.shape[0]):
-        members = features[assign == j]
-        if members.shape[0]:
-            means[j] = members.mean(axis=0)
+    if d == 1:  # mean() sums one column pairwise; a scatter-add would change the last bits
+        for j in np.flatnonzero(counts):
+            means[j] = features[assign == j].mean(axis=0)
+        return means
+    # One bincount adds each region's rows in row order from +0.0, exactly as
+    # mean(axis=0) reduces the C-ordered block features[assign == j] gathers.
+    sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), features.ravel(), k * d)
+    filled = counts > 0
+    means[filled] = sums.reshape(k, d)[filled] / counts[filled, None]
     return means
 
 

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from kernelcast import modelsel, rand
-from kernelcast.data import Dataset, make_folds
+from kernelcast.classify import KnnParams
+from kernelcast.data import SCALER_KINDS, Dataset, make_folds
 from kernelcast.errors import KernelcastError
-from kernelcast.modelsel import (Configuration, SearchError,
+from kernelcast.geometry import DISTANCE_KINDS
+from kernelcast.modelsel import (K_REFERENCE_CHOICES, KNN_NEIGHBOR_CHOICES,
+                                 Configuration, SearchError,
                                  balanced_error_rate, config_digest,
                                  enumerate_grid, evaluate_config,
                                  fit_pipeline, grid_search, kms_fit,
@@ -19,8 +22,8 @@ from kernelcast.modelsel import (Configuration, SearchError,
                                  prepare_folds, random_search,
                                  sample_references, stage_digest,
                                  stage_references)
-from kernelcast.kernelmap import KernelError
-from kernelcast.sampling import SamplingError
+from kernelcast.kernelmap import KERNEL_KINDS, KernelError
+from kernelcast.sampling import REF_TYPES, SAMPLER_KINDS, SamplingError
 from kernelcast.serialize import from_json, to_json
 from synthdata import make_blobs, random_dataset
 
@@ -192,6 +195,64 @@ def test_grid_census_by_axis():
 def test_grid_scaler_is_stamped():
     grid = enumerate_grid(scaler="standardize")
     assert all(c.scaler == "standardize" for c in grid)
+
+
+def loop_enumerate_grid(scaler="none"):
+    """enumerate_grid as nested loops, one KnnParams per kNN configuration."""
+    configs = []
+    for k in K_REFERENCE_CHOICES:
+        for sampler in SAMPLER_KINDS:
+            distances = ("euclidean",) if sampler == "kmeans" else DISTANCE_KINDS
+            ref_types = ("centroids",) if sampler == "kmeans" else REF_TYPES
+            for dist in distances:
+                for kernel in KERNEL_KINDS:
+                    for ref_type in ref_types:
+                        configs.append(Configuration(k, dist, sampler, kernel, ref_type,
+                                                     "gnb", None, scaler))
+                        for neighbors in KNN_NEIGHBOR_CHOICES:
+                            for weighting in ("uniform", "distance"):
+                                for knn_dist in DISTANCE_KINDS:
+                                    configs.append(Configuration(
+                                        k, dist, sampler, kernel, ref_type, "knn",
+                                        KnnParams(neighbors, weighting, knn_dist), scaler))
+    return configs
+
+
+@pytest.mark.parametrize("scaler", SCALER_KINDS)
+def test_grid_equals_the_nested_loops(scaler):
+    assert enumerate_grid(scaler) == loop_enumerate_grid(scaler)
+
+
+def test_random_search_constructs_the_old_picks_in_order(monkeypatch):
+    captured = []  # the configurations each search hands to _run_search
+    monkeypatch.setattr(modelsel, "_run_search",
+                        lambda ds, configs, *rest: captured.append(configs))
+    full = loop_enumerate_grid()
+    for sampler_filter in (None,) + SAMPLER_KINDS:
+        grid = [cfg for cfg in full if sampler_filter in (None, cfg.sampler)]
+        for seed in (0, 7):
+            for budget in (1, 128, 339, 340, 1360, 4420, 5000):
+                random_search(None, sample_size=budget, seed=seed, sampler_filter=sampler_filter)
+                if budget >= len(grid):
+                    want = grid
+                else:
+                    picked = rand.derive(seed, rand.SEARCH).choice(len(grid), size=budget,
+                                                                   replace=False)
+                    want = [grid[int(i)] for i in picked]
+                assert captured.pop() == want, (sampler_filter, seed, budget)
+                grid_search(None, seed=seed, sampler_filter=sampler_filter)
+                assert captured.pop() == grid
+
+
+def test_an_unknown_scaler_fails_both_searches_as_a_configuration_does():
+    with pytest.raises(SearchError) as built:
+        Configuration(4, "euclidean", "random", "gaussian", "centers", "gnb", None, "bogus")
+    ds = make_blobs(n_per_class=10, spread=0.3, seed=2)
+    for sampler_filter in (None, "kmeans", "bogus"):
+        for search in (random_search, grid_search):
+            with pytest.raises(SearchError) as failure:
+                search(ds, scaler="bogus", sampler_filter=sampler_filter)
+            assert str(failure.value) == str(built.value)
 
 
 def test_config_digest_stable_and_sensitive():

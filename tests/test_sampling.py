@@ -355,20 +355,44 @@ def loop_lloyd(features, k, rng):
     return centroids, assign, history, reseeds
 
 
+def one_column_regions(rng, sizes=(1, 7, 8, 129)):
+    """One shuffled column whose regions around 0, 1000, 2000, ... hold ``sizes`` rows.
+
+    numpy sums a single column pairwise (eight partial sums from 8 rows on,
+    halving above 128), so these sizes tell its sum from a row-order one.
+    """
+    rows = [1000.0 * j + rng.normal(size=size) * 10.0 ** rng.uniform(-3, 1, size=size)
+            for j, size in enumerate(sizes)]
+    return rng.permutation(np.concatenate(rows))[:, None], 1000.0 * np.arange(len(sizes))[:, None]
+
+
 def region_cases():
-    """(name, features, refs): seeded data, duplicates, k = n, empty regions, one column."""
+    """(name, features, refs): seeded data, duplicates, k = n, empty regions, one column,
+    wide rows, -0.0 entries with an all -0.0 region, F-ordered and reversed views."""
     rng = np.random.default_rng(21)
     normal = rng.normal(size=(40, 3))
     dup = np.repeat(rng.normal(size=(5, 2)), 6, axis=0)
     one = rng.normal(size=(50, 1))
     far = np.array([[50.0, 50.0, 50.0], [-50.0, 0.0, 0.0]])  # no row is nearest to these
+    wide = rng.normal(size=(90, 64)) * 10.0 ** rng.uniform(-4, 4, size=64)
+    signed = rng.normal(size=(60, 4)) + [0.0, 0.0, 0.0, 100.0]
+    signed[:, :3][rng.random((60, 3)) < 0.3] = -0.0
+    signed[::10] = -0.0  # six all -0.0 rows: the region of the -0.0 reference
+    skewed = np.vstack([rng.normal(size=(50, 5)) * 0.01, rng.normal(size=(3, 5)) + 40.0])
+    column, centers = one_column_regions(np.random.default_rng(1))
     return [
         ("seeded", normal, normal[[3, 11, 17, 29]]),
         ("duplicates", dup, dup[[0, 1, 6, 12]]),  # rows 0 and 1 coincide: region 1 is empty
         ("k_equals_n", normal[:12], normal[:12]),
         ("empty_regions", normal, np.vstack([normal[[2, 8]], far])),
         ("one_column", one, one[[0, 5, 9, 30, 44]]),
+        ("one_column_1_7_8_129", column, centers),
         ("zero_row", np.vstack([np.zeros((1, 3)), normal[:20]]), normal[[1, 4]]),
+        ("wide_64", wide, wide[[0, 7, 21, 33, 58, 80]]),
+        ("negative_zero", signed, np.vstack([signed[[1, 2, 3, 4, 5, 6, 7, 8]], signed[:1]])),
+        ("fortran_order", np.asfortranarray(normal), normal[[3, 11, 17, 29]]),
+        ("reversed_columns", wide[:, ::-1], wide[[0, 7, 21, 33, 58, 80], ::-1]),
+        ("skewed_assignment", skewed, np.vstack([skewed[[0, 50, 51]], np.full((2, 5), 50.0)])),
     ]
 
 
@@ -390,6 +414,55 @@ def test_region_cases_hold_empty_regions():
         features, refs = cases[name]
         assign = np.argmin(geometry.pairwise("euclidean", features, refs), axis=1)
         assert np.bincount(assign, minlength=len(refs)).min() == 0, name
+
+
+def test_region_cases_hold_the_layouts_they_name():
+    cases = {name: (features, refs) for name, features, refs in region_cases()}
+    features, refs = cases["negative_zero"]
+    assign = np.argmin(geometry.pairwise("euclidean", features, refs), axis=1)
+    region = features[assign == len(refs) - 1]
+    assert region.shape[0] == 6 and np.signbit(region).all()
+    assert np.signbit(loop_region_means(features, assign, refs)[-1]).tolist() == [False] * 4
+    assert cases["fortran_order"][0].flags.f_contiguous
+    assert not cases["reversed_columns"][0].flags.c_contiguous
+    features, refs = cases["skewed_assignment"]
+    sizes = np.bincount(np.argmin(geometry.pairwise("euclidean", features, refs), axis=1),
+                        minlength=len(refs))
+    assert sizes.max() >= 40 and sizes.min() == 0
+    features, refs = cases["one_column_1_7_8_129"]
+    assign = np.argmin(geometry.pairwise("euclidean", features, refs), axis=1)
+    assert np.bincount(assign).tolist() == [1, 7, 8, 129]
+    for j in (2, 3):  # a row-order sum misses mean()'s bits on 8 and on 129 rows
+        members, total = features[assign == j, 0], 0.0
+        for value in members:
+            total += value
+        assert total / members.size != members.mean()
+
+
+def test_region_means_fuzz_bit_equal_to_loop():
+    rng = np.random.default_rng(20)
+    for case in range(600):
+        d = int(rng.choice([1, 2, 3, 5, 8, 17, 64])) if case % 2 else int(rng.integers(1, 65))
+        n, k = int(rng.integers(1, 200)), int(rng.integers(1, 65))
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=d)
+        weights = rng.random(k) ** 4  # skewed: many regions empty or small
+        assign = rng.choice(k, size=n, p=weights / weights.sum())
+        if case % 3 == 0:
+            features[rng.random(features.shape) < 0.4] = -0.0
+        if case % 4 == 0:
+            features[assign == assign[0]] = -0.0  # one all -0.0 region
+        if case % 5 == 1:
+            features = np.asfortranarray(features)
+        elif case % 5 == 2:
+            features = features[:, ::-1]
+        if case % 25 == 0:
+            column, centers = one_column_regions(rng)
+            features, refs = column, centers
+            assign = np.argmin(np.abs(column - centers.T), axis=1)
+        else:
+            refs = rng.normal(size=(k, d))
+        got = _region_means(features, assign, refs)
+        assert got.tobytes() == loop_region_means(features, assign, refs).tobytes(), case
 
 
 @pytest.mark.parametrize("k,seed", [(5, 9), (7, 3), (12, 0)])
