@@ -2,9 +2,9 @@
 
 CSV files are opened by ``csv.reader``, which reads the header and the first
 block of rows and runs every check.  One ``np.loadtxt`` pass (``_read_plain``)
-then converts the rows, quoted cells included.  A file it declines is walked
-cell by cell on ``csv.reader`` (``_walk_cells``), which also writes every error
-report.
+then converts the rows of a file with no quote, no NUL and no over-long row.
+Every other file is walked cell by cell on ``csv.reader`` (``_walk_cells``),
+which also writes every error report.
 """
 
 from __future__ import annotations
@@ -148,41 +148,26 @@ _SCAN_BYTES = 1 << 16  # bytes per read of the NUL/quote/row-length scan
 
 
 def _plain_text(path) -> bool:
-    """Whether ``path`` holds no NUL, no quote inside an unquoted cell and no row of
-    ``csv.field_size_limit()`` bytes, which bound each of its cells' characters.
+    """Whether ``path`` holds no quote, no NUL and no row of ``csv.field_size_limit()``
+    bytes, which bound each of its cells' characters.
 
-    csv.reader opens quotes only at a cell's start; without quotes anywhere else,
-    quotes pair up, and a row ends at each ``\\n`` or ``\\r`` after an even number of
-    them, as in numpy's reader, which is given universal newlines.  A ``\\r`` after an
-    odd number is declined: universal newlines would turn it into a ``\\n``.
+    Without quotes, a row ends at each ``\\n`` or ``\\r`` in csv.reader as in numpy's
+    reader, which is given universal newlines.
     """
     limit = csv.field_size_limit()
-    run, odd, last = 0, False, b"\n"  # bytes since the last row end; quote count parity; last byte
+    run = 0  # bytes since the last row end
     with open(path, "rb") as fh:
         fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # past a byte order mark
         # A row wholly inside one chunk is shorter than the limit; only one that
         # runs across chunks can reach it.
         while chunk := fh.read(max(1, min(limit, _SCAN_BYTES))):
-            if odd or b'"' in chunk:
-                codes = np.frombuffer(chunk, np.uint8)
-                quotes = np.flatnonzero(codes == ord('"'))
-                ends = np.flatnonzero((codes == ord("\n")) | (codes == ord("\r")))
-                outside = (np.searchsorted(quotes, ends) + odd) % 2 == 0
-                crs_inside = codes[ends[~outside]] == ord("\r")
-                before_opens = np.frombuffer(last + chunk, np.uint8)[quotes[odd::2]]
-                if crs_inside.any() or not np.isin(before_opens, list(b",\r\n")).all():
-                    return False
-                ends = ends[outside]
-                odd = (len(quotes) + odd) % 2 == 1
-                cut, tail = (ends[0], ends[-1]) if len(ends) else (-1, -1)
-            else:  # a lone CR ends a row too; measuring by LFs alone only overstates rows
-                cut, tail = chunk.find(b"\n"), chunk.rfind(b"\n")
-                if cut < 0:
-                    cut, tail = chunk.find(b"\r"), chunk.rfind(b"\r")
-            if b"\0" in chunk or run + (len(chunk) if cut < 0 else cut) >= limit:
+            # A lone CR ends a row too; measuring by LFs alone only overstates rows.
+            cut, tail = chunk.find(b"\n"), chunk.rfind(b"\n")
+            if cut < 0:
+                cut, tail = chunk.find(b"\r"), chunk.rfind(b"\r")
+            if b'"' in chunk or b"\0" in chunk or run + (len(chunk) if cut < 0 else cut) >= limit:
                 return False
             run = run + len(chunk) if cut < 0 else len(chunk) - 1 - tail
-            last = chunk[-1:]
     return True
 
 
@@ -198,10 +183,9 @@ def _read_plain(path, skip: int, width: int, label_idx: int | None):
         return None
     dtype = [(f"c{j}", object if j == label_idx else np.float64) for j in range(width)]
     try:
-        # Universal newlines end lines where csv.reader does, quotes aside (see _plain_text).
+        # Universal newlines end lines where csv.reader does (see _plain_text).
         with open(path, encoding="utf-8-sig") as fh:
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                               skiprows=skip, ndmin=1)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1)
     except ValueError:
         return None
     raw_labels = [] if label_idx is None else [cell.strip() for cell in table[f"c{label_idx}"].tolist()]

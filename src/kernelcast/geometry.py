@@ -3,7 +3,7 @@
 Shared by prototype sampling, kernel mapping, and the kNN classifier so that
 every component measures dissimilarity the same way.  A TrainingGeometry
 keeps the distances among one training set's rows, so that the samplers
-fitted on those rows compute each of them once.
+fitted on those rows compute each of them once when they fit its budget.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ DISTANCE_KINDS = ("euclidean", "angle")
 # euclidean distances.  Keeps peak memory bounded for large query sets.
 _BLOCK_ELEMENTS = 1 << 22
 
-# Cap on cells of euclidean training-row distances one TrainingGeometry
-# keeps (32 MiB of float64); rows past it are computed again on each request.
+# Cap on cells of the euclidean self-distance matrix one TrainingGeometry
+# keeps (32 MiB of float64, n <= 2,048); past it, no row is kept.
 _KEPT_CELLS = 1 << 22
 
 # Unit roundoff and smallest subnormal of float64, for the error bound that
@@ -102,13 +102,14 @@ def pairwise(kind: str, a, b) -> np.ndarray:
 
 
 class TrainingGeometry:
-    """Distances among the rows of one training matrix, each computed once.
+    """Distances among the rows of one training matrix, kept where they fit.
 
     ``distances(kind, rows, cols)`` equals ``pairwise(kind, X[rows], X[cols])``
     bit for bit, where None stands for every row in order.  Euclidean
     distances are row-local and exactly symmetric, so whole rows of the
-    self-distance matrix are computed through ``pairwise`` once and kept, up
-    to ``_KEPT_CELLS`` cells; a column is served as the kept row.  Angle
+    self-distance matrix are computed through ``pairwise`` and served for
+    columns too.  When the matrix fits ``_KEPT_CELLS`` cells, each row is
+    computed once and kept; otherwise each request computes its rows.  Angle
     distances multiply once-computed unit rows, in the operand order and
     shapes of the ``pairwise`` call they replace, so BLAS sees the same
     product; a full angle Gram matrix would not reproduce its bits.
@@ -117,9 +118,8 @@ class TrainingGeometry:
     def __init__(self, features):
         self.features = _as_matrix(features)
         n = self.features.shape[0]
-        self._slot = np.full(n, -1, dtype=np.intp)  # row -> its index in _kept
-        self._kept = np.empty((min(n, _KEPT_CELLS // max(1, n)), n))
-        self._used = 0
+        self._kept = np.empty((n, n)) if n * n <= _KEPT_CELLS else None
+        self._filled = np.zeros(n, dtype=bool)  # rows of _kept computed so far
         self._units = None
 
     def distances(self, kind: str, rows=None, cols=None) -> np.ndarray:
@@ -140,20 +140,13 @@ class TrainingGeometry:
         """Whole self-distance rows ``rows`` (every row when None)."""
         n = self.features.shape[0]
         rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-        slots = self._slot[rows]
-        hit = slots >= 0
-        if hit.all():
-            return self._kept[slots]
-        out = np.empty((rows.size, n))
-        out[hit] = self._kept[slots[hit]]
-        missing, where = np.unique(rows[~hit], return_inverse=True)
-        fresh = pairwise("euclidean", self.features[missing], self.features)
-        out[~hit] = fresh[where]
-        keep = min(missing.size, self._kept.shape[0] - self._used)
-        self._kept[self._used:self._used + keep] = fresh[:keep]
-        self._slot[missing[:keep]] = np.arange(self._used, self._used + keep)
-        self._used += keep
-        return out
+        if self._kept is None:
+            return pairwise("euclidean", self.features[rows], self.features)
+        missing = np.unique(rows[~self._filled[rows]])
+        if missing.size:
+            self._kept[missing] = pairwise("euclidean", self.features[missing], self.features)
+            self._filled[missing] = True
+        return self._kept[rows]
 
 
 def _pack(keep: np.ndarray, k: int, dists: np.ndarray | None = None):

@@ -10,7 +10,6 @@ references, sampled once per fold.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -103,11 +102,6 @@ class Configuration:
             "scaler": self.scaler,
         }
 
-    @functools.cached_property
-    def digest(self) -> int:
-        """See config_digest; computed once per configuration object."""
-        return _digest64(self.to_dict())
-
     @staticmethod
     def from_dict(doc: dict) -> "Configuration":
         knn = None
@@ -128,7 +122,7 @@ class Configuration:
 
 def config_digest(cfg: Configuration) -> int:
     """Stable 64-bit fingerprint of a configuration (process-independent)."""
-    return cfg.digest
+    return _digest64(cfg.to_dict())
 
 
 def stage_digest(cfg: Configuration) -> int:

@@ -126,9 +126,9 @@ def lloyd(features: np.ndarray, k: int,
         history.append(float(np.square(dists[np.arange(len(features)), assign]).sum()))
         if prev is not None and np.array_equal(assign, prev):
             break
-        new = _region_means(features, assign, centroids)
+        new, counts = _region_means(features, assign, centroids)
         used_far: list[int] = []
-        for j in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
+        for j in np.flatnonzero(counts == 0):
             column = dists[:, j].copy()
             if used_far:
                 column[used_far] = -1.0
@@ -228,21 +228,23 @@ def sample_fft(ds, k: int, dist: str, seed: int,
     return centers, (radii[-1] if radii else None)
 
 
-def _region_means(features: np.ndarray, assign: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Mean of the rows assigned to each reference; an empty region keeps its row of refs."""
+def _region_means(features: np.ndarray, assign: np.ndarray,
+                  refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the rows assigned to each reference, and each region's row count;
+    an empty region keeps its row of refs."""
     k, d = refs.shape
     counts = np.bincount(assign, minlength=k)
     means = refs.copy()
     if d == 1:  # mean() sums one column pairwise; a scatter-add would change the last bits
         for j in np.flatnonzero(counts):
             means[j] = features[assign == j].mean(axis=0)
-        return means
+        return means, counts
     # One bincount adds each region's rows in row order from +0.0, exactly as
     # mean(axis=0) reduces the C-ordered block features[assign == j] gathers.
     sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), features.ravel(), k * d)
     filled = counts > 0
     means[filled] = sums.reshape(k, d)[filled] / counts[filled, None]
-    return means
+    return means, counts
 
 
 def _sigmas(dists: np.ndarray) -> np.ndarray:
@@ -277,7 +279,7 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
     refs = ds.features[picked]
     dists = _geometry(ds.features, geo).distances(dist, None, picked)
     if ref_type == "centroids":
-        refs = _region_means(ds.features, np.argmin(dists, axis=1), refs)
+        refs = _region_means(ds.features, np.argmin(dists, axis=1), refs)[0]
         dists = geometry.pairwise(dist, ds.features, refs)
     # Euclidean centers come as a transposed view; layout orders later sums.
     return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type, ds.features,

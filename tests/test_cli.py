@@ -308,6 +308,17 @@ def test_train_requires_exactly_one_source(workdir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_config_rejects_an_ensemble_size(workdir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(modelsel.enumerate_grid()[0].to_dict()))
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(workdir / "train.csv"), "--config", str(cfg),
+                 "--ensemble-size", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --ensemble-size requires --report (ensembles come from a search)\n")
+    assert not out.exists()
+
+
 def test_missing_data_file_fails_cleanly(tmp_path, capsys):
     rc = main(["search", "--data", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "r.json")])
@@ -334,7 +345,7 @@ def test_consensus_csv(workdir, tmp_path):
     assert ells == [3, 5, 7]
 
 
-def test_benchmark_two_methods(workdir, tmp_path, capsys):
+def two_split_manifest(workdir, tmp_path):
     manifest = {
         "datasets": [{
             "name": "blobs",
@@ -348,6 +359,11 @@ def test_benchmark_two_methods(workdir, tmp_path, capsys):
     }
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest))
+    return mpath
+
+
+def test_benchmark_two_methods(workdir, tmp_path, capsys):
+    mpath = two_split_manifest(workdir, tmp_path)
     out = tmp_path / "bench.json"
     assert main(["benchmark", "--manifest", str(mpath),
                  "--methods", "kms-rs,kmse-rs", "--budget", "12",
@@ -367,6 +383,39 @@ def test_benchmark_two_methods(workdir, tmp_path, capsys):
     assert ranks in ([1.0, 2.0], [1.5, 1.5])
     assert sorted(doc["method_order"]) == ["kms-rs", "kmse-rs"]
     assert "method order by average rank" in capsys.readouterr().out
+
+
+def test_benchmark_max_splits_keeps_the_first_splits(workdir, tmp_path):
+    mpath = two_split_manifest(workdir, tmp_path)
+    docs = []
+    for max_splits in ([], ["--max-splits", "1"]):
+        out = tmp_path / f"bench{len(docs)}.json"
+        assert main(["benchmark", "--manifest", str(mpath), "--methods", "kms-rs,kmse-rs",
+                     "--budget", "6", "--ensemble-size", "3", "--seed", "1", *max_splits,
+                     "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    every, first = (doc["datasets"][0] for doc in docs)
+    assert docs[1]["max_splits"] == 1
+    assert (every["splits_used"], first["splits_used"]) == (2, 1)
+    for method in ("kms-rs", "kmse-rs"):
+        scores = first["methods"][method]
+        assert scores["per_split_ber"] == every["methods"][method]["per_split_ber"][:1]
+        assert scores["mean_ber"] == scores["per_split_ber"][0]
+
+
+@pytest.mark.parametrize("methods,message", [
+    ("", "--methods must list at least one method"),
+    (" , ,", "--methods must list at least one method"),
+    ("kms-rs,kmse-rs,kms-rs", "--methods contains duplicates"),
+    ("kms-rs, kms-rs ", "--methods contains duplicates"),
+], ids=["empty", "only-commas", "repeated", "repeated-with-spaces"])
+def test_benchmark_rejects_a_method_list_it_cannot_rank(workdir, tmp_path, capsys, methods, message):
+    mpath = two_split_manifest(workdir, tmp_path)
+    out = tmp_path / "b.json"
+    assert main(["benchmark", "--manifest", str(mpath), "--methods", methods,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _manifest_with(field):

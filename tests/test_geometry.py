@@ -166,21 +166,49 @@ def test_training_geometry_euclidean_self_matrix_is_exactly_symmetric():
     assert full.tobytes() == geometry.pairwise("euclidean", x, x).tobytes()
 
 
+def record_pairwise_rows(monkeypatch):
+    """Patch geometry.pairwise to record its first operand; return the list."""
+    calls = []
+    pairwise = geometry.pairwise
+    monkeypatch.setattr(geometry, "pairwise", lambda *a: calls.append(a[1]) or pairwise(*a))
+    return calls
+
+
 def test_training_geometry_past_its_cell_budget_gives_the_same_bytes(monkeypatch):
     rng = np.random.default_rng(4)
     x = training_rows(rng, 40, 5)
-    monkeypatch.setattr(geometry, "_KEPT_CELLS", 3 * len(x))  # room for three rows
-    calls = []
+    monkeypatch.setattr(geometry, "_KEPT_CELLS", len(x) ** 2 - 1)  # one cell short: keep nothing
     pairwise = geometry.pairwise
-    monkeypatch.setattr(geometry, "pairwise", lambda *a: calls.append(a[1].shape[0]) or pairwise(*a))
+    calls = record_pairwise_rows(monkeypatch)
+    geo = geometry.TrainingGeometry(x)
+    served = []  # the rows each request computes: the column rows when there are fewer
+    for _ in range(3):
+        for rows in ([0, 1], [5], None, [7, 2, 9], [0]):
+            want = pairwise("euclidean", x[np.arange(40) if rows is None else rows], x[:20])
+            assert geo.distances("euclidean", rows, np.arange(20)).tobytes() == want.tobytes()
+            served.append(np.arange(20) if rows is None else rows)
+    # Each request is one pairwise call on the rows it asks for, every time.
+    assert len(calls) == len(served) == 15
+    for a, rows in zip(calls, served):
+        assert a.tobytes() == x[rows].tobytes()
+
+
+def test_training_geometry_within_its_cell_budget_computes_each_row_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = training_rows(rng, 40, 5)
+    monkeypatch.setattr(geometry, "_KEPT_CELLS", len(x) ** 2)  # the whole matrix, exactly
+    pairwise = geometry.pairwise
+    calls = record_pairwise_rows(monkeypatch)
     geo = geometry.TrainingGeometry(x)
     for _ in range(3):
         for rows in ([0, 1], [5], None, [7, 2, 9], [0]):
             want = pairwise("euclidean", x[np.arange(40) if rows is None else rows], x[:20])
             assert geo.distances("euclidean", rows, np.arange(20)).tobytes() == want.tobytes()
-    # Rows 0, 1 and 5 fill the budget.  The all-rows request is served from
-    # the 20 column rows (17 of them not kept), and rows 7, 2, 9 are never kept.
-    assert calls == [2, 1, 17, 3] + [17, 3] * 2
+    # Rows 0, 1 and 5 come first; the all-rows request computes the 17 other
+    # column rows; every later request is served from the kept rows.
+    assert [len(a) for a in calls] == [2, 1, 17]
+    assert geo.distances("euclidean").tobytes() == pairwise("euclidean", x, x).tobytes()
+    assert [len(a) for a in calls] == [2, 1, 17, 20]
 
 
 # ------------------------------------------------------------------ nearest

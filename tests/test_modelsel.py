@@ -277,6 +277,14 @@ def test_config_rejects_invalid_combinations():
                      distance="euclidean")))
     with pytest.raises(SearchError):
         knn_config(kernel="polynomial")
+    for field, value, message in [
+            ("k_references", 0, "k_references must be at least 1"),
+            ("sampling_distance", "manhattan", "unknown sampling distance 'manhattan'"),
+            ("sampler", "grid", "unknown sampler 'grid'"),
+            ("ref_type", "medoids", "unknown reference type 'medoids'"),
+            ("classifier", "svm", "unknown classifier 'svm'")]:
+        with pytest.raises(SearchError, match=f"^{message}$"):
+            knn_config(**{field: value})
 
 
 # --------------------------------------------------------------- search
@@ -326,6 +334,18 @@ def test_search_sampler_filter():
     report = random_search(ds, sample_size=8, seed=4, sampler_filter="kmeans")
     assert all(e.config.sampler == "kmeans" for e in report.entries)
     assert report.sampler_filter == "kmeans"
+
+
+@pytest.mark.parametrize("search", [random_search, grid_search])
+def test_searches_reject_an_unknown_sampler_filter(search):
+    with pytest.raises(SearchError, match="^unknown sampler filter 'grid'$"):
+        search(make_blobs(n_per_class=10, spread=0.3, seed=2), sampler_filter="grid")
+
+
+@pytest.mark.parametrize("sample_size", [0, -1])
+def test_random_search_rejects_a_sample_size_below_one(sample_size):
+    with pytest.raises(SearchError, match="^sample_size must be at least 1$"):
+        random_search(make_blobs(n_per_class=10, spread=0.3, seed=2), sample_size=sample_size)
 
 
 def test_search_draws_distinct_configs():
@@ -548,6 +568,12 @@ def test_evaluate_config_samples_the_stage_as_the_search_does():
 
 
 # ------------------------------------------------------------ kms model
+
+def test_kms_fit_rejects_one_class_data():
+    ds = make_blobs(n_per_class=10, spread=0.3, n_classes=1, seed=2)
+    with pytest.raises(SearchError, match="^training requires a dataset with at least 2 classes$"):
+        kms_fit(knn_config(), ds, seed=0)
+
 
 def test_kms_fit_predict_roundtrip():
     ds = make_blobs(n_per_class=30, spread=0.2, gap=6.0, seed=13)

@@ -401,8 +401,9 @@ def region_cases():
                          ids=[case[0] for case in region_cases()])
 def test_region_helpers_bit_equal_to_loops(name, features, refs, dist):
     assign = np.argmin(geometry.pairwise(dist, features, refs), axis=1)
-    means = _region_means(features, assign, refs)
+    means, counts = _region_means(features, assign, refs)
     assert means.tobytes() == loop_region_means(features, assign, refs).tobytes()
+    assert counts.tolist() == np.bincount(assign, minlength=len(refs)).tolist()
     for r in (refs, means):
         sigmas = _sigmas(geometry.pairwise(dist, features, r))
         assert sigmas.tobytes() == loop_sigmas(features, r, dist).tobytes()
@@ -461,8 +462,9 @@ def test_region_means_fuzz_bit_equal_to_loop():
             assign = np.argmin(np.abs(column - centers.T), axis=1)
         else:
             refs = rng.normal(size=(k, d))
-        got = _region_means(features, assign, refs)
+        got, counts = _region_means(features, assign, refs)
         assert got.tobytes() == loop_region_means(features, assign, refs).tobytes(), case
+        assert counts.tolist() == np.bincount(assign, minlength=len(refs)).tolist(), case
 
 
 @pytest.mark.parametrize("k,seed", [(5, 9), (7, 3), (12, 0)])

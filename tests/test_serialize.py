@@ -144,6 +144,10 @@ def drop_variance_row(doc):
     doc["inner"]["variances"].pop()
 
 
+def extra_sigma(doc):
+    doc["references"]["sigmas"].append(1.0)
+
+
 def setting(name, path, value):
     """An edit that sets the field at ``path`` (a key/index sequence) to ``value``."""
     def edit(doc):
@@ -199,6 +203,16 @@ BAD_MODELS = [
      "references: refs must be finite"),
     ("knn", setting("nan_sigma", ("references", "sigmas", 0), float("nan")),
      "references: sigmas must be finite and strictly positive"),
+    # reference sets that no sampler makes
+    ("gnb", setting("no_references", ("references", "refs"), []),
+     "^references: reference set must hold at least one row vector$"),
+    ("knn", extra_sigma, "^references: need exactly one sigma per reference$"),
+    ("knn", setting("unknown_kind_used", ("references", "kind_used"), "grid"),
+     "^references: unknown sampler kind 'grid'$"),
+    ("gnb", setting("unknown_distance_used", ("references", "distance_used"), "manhattan"),
+     "^references: unknown distance 'manhattan'$"),
+    ("knn", setting("unknown_ref_type", ("references", "ref_type"), "medoids"),
+     "^references: unknown reference type 'medoids'$"),
     ("knn", setting("infinite_feature", ("inner", "features", 0, 0), float("inf")),
      "inner.features must be finite"),
     ("gnb", setting("nan_mean", ("inner", "means", 1, 3), float("nan")),
