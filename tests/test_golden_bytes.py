@@ -2,8 +2,9 @@
 
 Search reports (with every ``wall_time`` blanked) are pinned for iris,
 gland-140 and a banana subset, for each sampler filter and two scalers, at
-KERNELCAST_THREADS 1 and 2; banana ensemble predictions are pinned after
-``train --ensemble-size 15``.  A change that claims to keep every output
+KERNELCAST_THREADS 1 and 2; so are the kmeans grids of iris and gland-140,
+whose five stages hold 68 configurations each; banana ensemble predictions
+are pinned after ``train --ensemble-size 15``.  A change that claims to keep every output
 byte must pass this module unchanged; a change that alters output bytes on
 purpose re-records it, so that the diff of this file declares the change.
 
@@ -79,6 +80,12 @@ SEARCH_DIGESTS = {
         '10e2eb20fcdd9a032977f85d89fbfd0a1b6fb2a83b86dd098b1d37e5b45658c2',
 }
 
+GRID_DIGESTS = {
+    # dataset: digest of the scrubbed ``--mode grid --sampler kmeans`` report
+    "iris": "63cb49449a2d51e74ed7c720d4d7a40f54caa1744f80318e1ad6118db3676245",
+    "gland": "9a047960c0a679abb334d3ca43808d72d5ceda1350e59b5fd006975c8926a545",
+}
+
 ENSEMBLE_PREDICTION_DIGEST = "253c84d8fac8067b9d814b857ba4467052d1500fe73730ef9910279da43245be"
 
 
@@ -116,13 +123,25 @@ def two_cpus(monkeypatch):
 @pytest.mark.parametrize("key", sorted(SEARCH_DIGESTS), ids="-".join)
 def test_search_report_bytes(key, inputs, tmp_path, monkeypatch, two_cpus):
     dataset, sampler, scaler = key
+    assert_report_bytes(["search", *data_args(dataset, inputs), "--budget", BUDGET,
+                         "--sampler", sampler, "--scaler", scaler, "--seed", "3"],
+                        SEARCH_DIGESTS[key], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("dataset", sorted(GRID_DIGESTS))
+def test_grid_report_bytes(dataset, inputs, tmp_path, monkeypatch, two_cpus):
+    assert_report_bytes(["search", *data_args(dataset, inputs), "--mode", "grid",
+                         "--sampler", "kmeans", "--seed", "3"],
+                        GRID_DIGESTS[dataset], tmp_path, monkeypatch)
+
+
+def assert_report_bytes(argv, digest, tmp_path, monkeypatch):
     for threads in ("1", "2"):
         monkeypatch.setenv("KERNELCAST_THREADS", threads)
         out = tmp_path / f"report-{threads}.json"
-        run(["search", *data_args(dataset, inputs), "--budget", BUDGET, "--sampler", sampler,
-             "--scaler", scaler, "--seed", "3", "--out", str(out)])
+        run([*argv, "--out", str(out)])
         scrubbed = _WALL_TIME.sub(b'"wall_time": null', out.read_bytes())
-        assert sha256(scrubbed) == SEARCH_DIGESTS[key], f"KERNELCAST_THREADS={threads}"
+        assert sha256(scrubbed) == digest, f"KERNELCAST_THREADS={threads}"
 
 
 def test_ensemble_prediction_bytes(inputs, tmp_path, monkeypatch):
