@@ -89,15 +89,20 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     each row's k nearest as a set, in whatever order ``geometry.nearest``
     finds them; an inverse-distance vote sums over them nearest first.
     """
-    feats = np.asarray(queries, dtype=np.float64)
     uniform = model.params.weighting == "uniform"
-    order, dists = geometry.nearest(model.params.distance, feats, model.features,
-                                    model.params.neighbors, ordered=not uniform)
-    n, c = feats.shape[0], model.n_classes
-    weights = None if uniform else 1.0 / (_WEIGHT_EPS + dists.ravel())
+    order, dists = geometry.nearest(model.params.distance, np.asarray(queries, dtype=np.float64),
+                                    model.features, model.params.neighbors, ordered=not uniform)
+    return knn_vote(model.labels, order, dists, model.n_classes)
+
+
+def knn_vote(labels: np.ndarray, order: np.ndarray, dists: np.ndarray | None,
+             n_classes: int) -> np.ndarray:
+    """Labels voted by each row's neighbours ``order``, by inverse ``dists`` unless None."""
+    n, c = order.shape[0], n_classes
+    weights = None if dists is None else 1.0 / (_WEIGHT_EPS + dists.ravel())
     # Sums in row-major neighbour order, as a scatter-add would; integer
     # counts do not depend on the order.
-    scores = np.bincount((np.arange(n)[:, None] * c + model.labels[order]).ravel(), weights, n * c)
+    scores = np.bincount((np.arange(n)[:, None] * c + labels[order]).ravel(), weights, n * c)
     return np.argmax(scores.reshape(n, c), axis=1).astype(np.int64)
 
 

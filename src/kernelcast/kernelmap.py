@@ -47,15 +47,20 @@ def kernel_matrix(kind: str, dists: np.ndarray, sigmas: np.ndarray) -> np.ndarra
     return 1.0 / (1.0 + dists / sigmas)
 
 
-def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str) -> np.ndarray:
-    """Map a raw feature matrix into kernel space against a reference set."""
+def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str,
+               dists: np.ndarray | None = None) -> np.ndarray:
+    """Map a raw feature matrix into kernel space against a reference set.
+
+    ``dists`` are the rows' ``pairwise`` distances to the references, if at hand.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != refs.dim:
         raise KernelError(
             f"feature width {features.shape[-1]} does not match reference width {refs.dim}")
     # The sampler's own rows come with their distances; kernel_matrix copies.
-    dists = (refs.fitted_dists if features is refs.fitted_rows
-             else geometry.pairwise(refs.distance_used, features, refs.refs))
+    if dists is None:
+        dists = (refs.fitted_dists if features is refs.fitted_rows
+                 else geometry.pairwise(refs.distance_used, features, refs.refs))
     return kernel_matrix(kernel, dists, refs.sigmas)
 
 

@@ -5,7 +5,8 @@ sampler, kernel, reference type, and internal classifier.  Search evaluates
 configurations by stratified cross-validation on the balanced error rate and
 returns a report listing everything it tried.  Configurations that differ only
 in kernel and classifier form one reference stage and fit on the same
-references, sampled once per fold.
+references, sampled once per fold; they share held-out distances, kernel maps
+and neighbour rankings too.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import errors, parallel, rand
+from . import errors, geometry, parallel, rand
 from .classify import (GnbModel, KnnModel, KnnParams, gnb_fit, gnb_predict,
-                       knn_fit, knn_predict)
+                       knn_fit, knn_predict, knn_vote)
 from .data import (SCALER_KINDS, Dataset, ScalerSpec, apply_scaler, fit_scaler,
                    make_folds, split_fold)
 from .geometry import DISTANCE_KINDS, TrainingGeometry
@@ -234,24 +235,28 @@ def sample_references(cfg: Configuration, fold: PreparedFold, seed: int) -> Refe
                               cfg.ref_type, seed, fold.geometry)
 
 
-def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet) -> KmsModel:
+def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet,
+                 mapped: Dataset | None = None) -> KmsModel:
     """Fit the kernel map and internal classifier on one prepared fold.
 
     ``fold`` is scaled by the configuration's scaler kind, and ``refs`` are
-    its stage's references sampled on the fold's rows.
+    its stage's references sampled on the fold's rows; ``mapped`` holds the
+    fold's training rows already mapped by ``cfg.kernel``, if at hand.
     """
-    mapped = map_dataset(fold.train, refs, cfg.kernel)
+    if mapped is None:
+        mapped = map_dataset(fold.train, refs, cfg.kernel)
     inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
     return KmsModel(cfg, fold.scaler, refs, inner, list(fold.train.label_names))
 
 
-def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
-    """Scale, map, and classify raw query rows."""
-    scaled = model.scaler.transform(np.asarray(features, dtype=np.float64))
-    mapped = map_matrix(scaled, model.refs, model.config.kernel)
+def pipeline_predict(model: KmsModel, features: np.ndarray, mapped: bool = False) -> np.ndarray:
+    """Scale, map, and classify raw query rows, or classify rows already ``mapped``."""
+    if not mapped:
+        scaled = model.scaler.transform(np.asarray(features, dtype=np.float64))
+        features = map_matrix(scaled, model.refs, model.config.kernel)
     if model.config.classifier == "knn":
-        return knn_predict(model.inner, mapped)
-    return gnb_predict(model.inner, mapped)
+        return knn_predict(model.inner, features)
+    return gnb_predict(model.inner, features)
 
 
 def stage_references(cfg: Configuration, folds: list[PreparedFold],
@@ -266,21 +271,72 @@ def stage_references(cfg: Configuration, folds: list[PreparedFold],
             for i, fold in enumerate(folds)]
 
 
+class Stage:
+    """The products that the configurations of one reference stage share.
+
+    ``references`` are the stage's ``stage_references``, or the domain error
+    their sampling raised.  A product is made when the first configuration
+    reaches it.  A domain error raised making it is kept in its place, and
+    raised to each configuration that reaches it, as that one alone would.
+    """
+
+    def __init__(self, configs: list[Configuration],
+                 references: list[ReferenceSet] | errors.KernelcastError):
+        self.references = references
+        ks: dict[tuple[str, str], list[int]] = {}
+        for cfg in configs:
+            if cfg.knn is not None:
+                ks.setdefault((cfg.kernel, cfg.knn.distance), []).append(cfg.knn.neighbors)
+        # A (kernel, kNN distance) group of two or more ranks neighbours once, at
+        # its largest k: the ordered ``nearest`` prefix is the smaller-k result.
+        self.ranked_k = {key: max(k) for key, k in ks.items() if len(k) > 1}
+        self._made = {}
+
+    def product(self, key: tuple, make, *args):
+        if key not in self._made:
+            try:
+                self._made[key] = make(*args)
+            except errors.KernelcastError as exc:
+                self._made[key] = exc.with_traceback(None)  # shared: keep its traceback short
+        made = self._made[key]
+        if isinstance(made, errors.KernelcastError):
+            raise made
+        return made
+
+
 def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
-                    references: list[ReferenceSet] | errors.KernelcastError) -> float:
+                    references: list[ReferenceSet] | errors.KernelcastError | Stage) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
     folds only and scores on the held-out rows.  ``references`` are the
-    ``stage_references`` of ``cfg``, or the domain error their sampling
-    raised, which fails this configuration too.  Fit errors propagate.
+    ``stage_references`` of ``cfg``, the domain error their sampling raised,
+    which fails this configuration too, or a ``Stage`` of ``cfg``'s stage
+    holding either.  Fit errors propagate.
     """
-    if isinstance(references, errors.KernelcastError):
-        raise references.with_traceback(None)  # shared by the stage: keep its traceback short
+    stage = references if isinstance(references, Stage) else Stage([cfg], references)
+    if isinstance(stage.references, errors.KernelcastError):
+        raise stage.references.with_traceback(None)  # shared by the stage: keep its traceback short
+    ranked_k = cfg.knn and stage.ranked_k.get((cfg.kernel, cfg.knn.distance))
     bers = []
-    for fold, refs in zip(folds, references):
-        fitted = fit_pipeline(cfg, fold, refs)
-        predicted = pipeline_predict(fitted, fold.held_out.features)
+    for i, (fold, refs) in enumerate(zip(folds, stage.references)):
+        train = stage.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
+        fitted = fit_pipeline(cfg, fold, refs, train)
+        # The held-out rows, scaled and mapped as pipeline_predict does it.
+        scaled = stage.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
+        dists = stage.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)
+        held_out = stage.product(("held-out", i, cfg.kernel), map_matrix, scaled, refs,
+                                 cfg.kernel, dists)
+        if ranked_k:
+            order, near = stage.product(("nearest", i, cfg.kernel, cfg.knn.distance),
+                                        geometry.nearest, cfg.knn.distance, held_out,
+                                        train.features, ranked_k)
+            k = cfg.knn.neighbors
+            predicted = knn_vote(train.labels, order[:, :k],
+                                 None if cfg.knn.weighting == "uniform" else near[:, :k],
+                                 train.n_classes)
+        else:
+            predicted = pipeline_predict(fitted, held_out, mapped=True)
         bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
     return float(np.mean(bers))
 
@@ -335,24 +391,28 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
     # Forked workers inherit the folds and fill their geometry copy-on-write.
     folds = prepare_folds(ds, fold_of, scaler)
 
-    def evaluate(cfg: Configuration, references) -> EvalOutcome:
-        started = time.perf_counter()
-        try:
-            ber = evaluate_config(cfg, folds, references)
-            error = error_class = None
-        except errors.KernelcastError as exc:  # anything else is a bug and propagates
-            ber = math.inf
-            error, error_class = str(exc), type(exc).__name__
-        return EvalOutcome(cfg, ber, config_digest(cfg), time.perf_counter() - started, error,
-                           error_class)
-
     def evaluate_stage(positions: list[int]) -> list[EvalOutcome]:
-        # The stage's references live only as long as this call.
+        # The stage's references and products live only as long as this call.
+        started = time.perf_counter()
+        group = [configs[i] for i in positions]
         try:
-            references = stage_references(configs[positions[0]], folds, seed)
+            references = stage_references(group[0], folds, seed)
         except errors.KernelcastError as exc:
             references = exc
-        return [evaluate(configs[i], references) for i in positions]
+        stage = Stage(group, references)
+        outcomes = []
+        for cfg in group:
+            try:
+                ber = evaluate_config(cfg, folds, stage)
+                error = error_class = None
+            except errors.KernelcastError as exc:  # anything else is a bug and propagates
+                ber = math.inf
+                error, error_class = str(exc), type(exc).__name__
+            outcomes.append(EvalOutcome(cfg, ber, config_digest(cfg), 0.0, error, error_class))
+        share = (time.perf_counter() - started) / len(group)
+        for outcome in outcomes:  # the stage's time, spread evenly
+            outcome.wall_time = share
+        return outcomes
 
     stages: dict[int, list[int]] = {}
     for i, cfg in enumerate(configs):
@@ -376,8 +436,6 @@ def _candidate_grid(scaler: str, sampler_filter: str | None) -> list[tuple]:
         if sampler_filter not in SAMPLER_KINDS:
             raise SearchError(f"unknown sampler filter {sampler_filter!r}")
         grid = [fields for fields in grid if fields[2] == sampler_filter]  # [2]: sampler
-    if not grid:
-        raise SearchError("sampler filter admits no configurations")
     return grid
 
 

@@ -279,3 +279,9 @@ def test_fit_rejects_empty_training_data():
         knn_fit(empty, params(1))
     with pytest.raises(ClassifierError):
         gnb_fit(empty)
+
+
+def test_gnb_predict_rejects_queries_of_another_width():
+    ds = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), np.array([0, 1, 1]), ["a", "b"])
+    with pytest.raises(ClassifierError, match="^query width does not match the fitted model$"):
+        gnb_predict(gnb_fit(ds), np.zeros((2, 3)))

@@ -902,3 +902,28 @@ def test_encode_labels_matches_the_loop():
         assert results[0] == results[1], (raw, vocabulary)
         outcomes.add(type(results[0]))
     assert outcomes == {tuple, str}
+
+
+def test_dataset_features_must_be_a_matrix():
+    with pytest.raises(DataError, match="^features must be a 2-d matrix$"):
+        Dataset(np.zeros(3), np.zeros(3, dtype=int), ["a"])
+
+
+def test_stratified_split_rejects_an_empty_test_side():
+    ds = Dataset(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), ["a", "b"])
+    with pytest.raises(DataError, match="^test fraction too small: the test side came out empty$"):
+        stratified_split(ds, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("fold_count", [1, 0, -2])
+def test_make_folds_needs_two_folds(fold_count):
+    ds = Dataset(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), ["a", "b"])
+    with pytest.raises(DataError, match="^fold_count must be at least 2$"):
+        make_folds(ds, fold_count, seed=0)
+
+
+@pytest.mark.parametrize("fold", [-1, 3])
+def test_split_fold_rejects_a_fold_out_of_range(fold):
+    ds = Dataset(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), ["a", "b"])
+    with pytest.raises(DataError, match=f"^fold {fold} out of range$"):
+        split_fold(ds, make_folds(ds, 3, seed=0), fold)

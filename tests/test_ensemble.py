@@ -193,3 +193,8 @@ def test_tally_counts_and_winners_match_the_scatter_add(monkeypatch):
         assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
         assert np.array_equal(got, want)
     assert ties > 100
+
+
+def test_an_ensemble_needs_a_member():
+    with pytest.raises(EnsembleError, match="^an ensemble needs at least one member$"):
+        Ensemble([], vote_seed=0)

@@ -3,6 +3,7 @@ import pytest
 
 from kernelcast import geometry
 from kernelcast.data import Dataset
+from kernelcast.errors import KernelcastError
 from kernelcast.sampling import finalize_references
 
 
@@ -345,3 +346,11 @@ def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
     # both the padded and the uniform-width packing ran, on blocks exactly k wide and wider
     widths, wide = zip(*kept)
     assert 1 in widths and max(widths) > 1 and any(wide) and not all(wide)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+def test_row_vectors_must_form_a_matrix(shape):
+    with pytest.raises(KernelcastError, match="^expected a 2-d array of row vectors$"):
+        geometry.pairwise("euclidean", np.zeros(shape), np.zeros((2, 3)))
+    with pytest.raises(KernelcastError, match="^expected a 2-d array of row vectors$"):
+        geometry.TrainingGeometry(np.zeros(shape))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import warnings
@@ -618,3 +619,134 @@ def test_report_with_infinite_entries_roundtrips():
         [e.cv_ber for e in report.entries])
     assert [e.error for e in clone.entries] == (
         [e.error for e in report.entries])
+
+
+# ------------------------------------- stages against lone configurations
+#
+# The search evaluates a stage's configurations on shared products: held-out
+# distances, kernel maps, GNB fits and neighbour rankings.  The oracle below
+# evaluates one configuration alone, the way the search did before it shared
+# them: its own references, then fit_pipeline, pipeline_predict and
+# balanced_error_rate per fold.
+
+def lone_outcome(cfg, folds, seed):
+    """(cv_ber, error, error class) of ``cfg`` evaluated on its own."""
+    try:
+        bers = []
+        for fold, refs in zip(folds, stage_references(cfg, folds, seed)):
+            fitted = fit_pipeline(cfg, fold, refs)
+            predicted = pipeline_predict(fitted, fold.held_out.features)
+            bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
+        return float(np.mean(bers)).hex(), None, None
+    except KernelcastError as exc:
+        return math.inf.hex(), str(exc), type(exc).__name__
+
+
+def stage_groups(rng, scaler):
+    """Random subsets of three random grid stages, in a random order.
+
+    Two of the stages sample 4 or 8 references, which small folds can hold.
+    """
+    stages = {}
+    for cfg in enumerate_grid(scaler):
+        stages.setdefault(stage_digest(cfg), []).append(cfg)
+    stages = list(stages.values())
+    small = [i for i, group in enumerate(stages) if group[0].k_references <= 8]
+    first = rng.choice(small, 2, replace=False)
+    last = rng.choice([i for i in range(len(stages)) if i not in first])
+    picked = [stages[i] for i in (*first, last)]
+    configs = [cfg for group in picked
+               for cfg in rng.choice(group, rng.integers(1, len(group) + 1), replace=False)]
+    return [configs[i] for i in rng.permutation(len(configs))]
+
+
+def fuzz_datasets():
+    """Small datasets: blobs, noise, and the five edge-case families."""
+    from test_edge_cases import CASES
+    rng = np.random.default_rng(0)
+    yield make_blobs(n_per_class=12, spread=1.2, gap=2.0, seed=1)
+    yield random_dataset(rng, 27, 3, n_classes=3)
+    for case in CASES:
+        yield Dataset(*case(), ["a", "b"])
+
+
+def assert_stages_match_lone_configurations(case_seed, datasets=None):
+    """Search random stage groups at one and two workers; every entry must
+    equal its configuration's lone evaluation, bit for bit and message for
+    message."""
+    rng = np.random.default_rng(case_seed)
+    for d, ds in enumerate(fuzz_datasets() if datasets is None else datasets):
+        scaler = SCALER_KINDS[rng.integers(len(SCALER_KINDS))]
+        configs = stage_groups(rng, scaler)
+        seed = int(rng.integers(1000))
+        fold_of = make_folds(ds, 3, seed)
+        folds = prepare_folds(ds, fold_of, scaler)
+        expected = [lone_outcome(cfg, folds, seed) for cfg in configs]
+        for threads in (1, 2):
+            report = modelsel._run_search(ds, configs, 3, seed, scaler, "random", None, threads)
+            assert [e.config for e in report.entries] == configs
+            got = [(e.cv_ber.hex(), e.error, e.error_class) for e in report.entries]
+            assert got == expected, (case_seed, d, threads)
+
+
+def failing(original, every, error):
+    """``original`` raising ``error`` on the calls whose arrays and strings
+    hash into one bucket of ``every``.
+
+    The bucket depends on content only, not on call order, neighbour count or
+    ordering, so a product shared by a stage fails exactly where the lone
+    evaluation of each configuration reaching it fails.
+    """
+    def call(*args, **kwargs):
+        digest = hashlib.sha256()
+        for arg in args:
+            if isinstance(arg, Dataset):
+                arg = arg.features
+            if isinstance(arg, str):
+                digest.update(arg.encode())
+            elif isinstance(arg, np.ndarray):
+                digest.update(np.ascontiguousarray(arg).tobytes())
+        if digest.digest()[0] % every == 0:
+            raise error(f"{original.__name__} failed on {digest.hexdigest()[:12]}")
+        return original(*args, **kwargs)
+    return call
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+
+
+@pytest.mark.parametrize("case_seed", range(4))
+def test_stage_evaluation_equals_lone_evaluation(case_seed, two_workers):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # empty truth classes, overflow
+        assert_stages_match_lone_configurations(case_seed)
+
+
+@pytest.mark.parametrize("case_seed", range(3))
+def test_stage_products_fail_only_the_configurations_that_reach_them(case_seed, monkeypatch,
+                                                                      two_workers):
+    from kernelcast import geometry, kernelmap
+    from kernelcast.classify import ClassifierError
+    monkeypatch.setattr(kernelmap, "kernel_matrix", failing(kernelmap.kernel_matrix, 17, KernelError))
+    monkeypatch.setattr(modelsel, "gnb_fit", failing(modelsel.gnb_fit, 5, ClassifierError))
+    monkeypatch.setattr(geometry, "nearest", failing(geometry.nearest, 11, SearchError))
+    ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=case_seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_stages_match_lone_configurations(10 + case_seed, [ds, ds])
+
+
+@pytest.mark.parametrize("target", ["kernel_matrix", "nearest"])
+def test_a_programming_error_in_a_stage_product_stops_the_search(target, monkeypatch,
+                                                                  two_workers):
+    from kernelcast import geometry, kernelmap
+    module = kernelmap if target == "kernel_matrix" else geometry
+    monkeypatch.setattr(module, target, failing(getattr(module, target), 2, TypeError))
+    ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=3)
+    configs = [c for c in enumerate_grid() if c.k_references == 4 and c.sampler == "random"]
+    for threads in (1, 2):
+        with pytest.raises(TypeError, match=f"^{target} failed on "):
+            modelsel._run_search(ds, configs, 3, 0, "none", "grid", None, threads)
+    assert multiprocessing.active_children() == []

@@ -511,9 +511,10 @@ def test_make_reference_set_centers_are_training_rows():
 
 def test_make_reference_set_rejects_kmeans_variants():
     ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
-    with pytest.raises(SamplingError):
+    message = "^kmeans sampling requires euclidean distance and centroid references$"
+    with pytest.raises(SamplingError, match=message):
         make_reference_set(ds, "kmeans", 3, "angle", "centroids", seed=0)
-    with pytest.raises(SamplingError):
+    with pytest.raises(SamplingError, match=message):
         make_reference_set(ds, "kmeans", 3, "euclidean", "centers", seed=0)
     with pytest.raises(SamplingError):
         make_reference_set(ds, "voronoi", 3, "euclidean", "centers", seed=0)

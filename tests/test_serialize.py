@@ -457,3 +457,14 @@ HAND_BUILT = {
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_hand_built_documents_are_the_stdlib_text(name):
     assert dumps(HAND_BUILT[name]) == stdlib_text(HAND_BUILT[name])
+
+
+def test_an_unknown_inner_model_kind_fails_to_load():
+    ds = make_blobs(n_per_class=10, spread=0.3, seed=4)
+    cfg = Configuration.from_dict({"k_references": 4, "sampling_distance": "euclidean",
+                                   "sampler": "random", "kernel": "gaussian",
+                                   "ref_type": "centers", "classifier": "gnb", "knn": None})
+    doc = json.loads(to_json(kms_fit(cfg, ds, seed=0)))
+    doc["inner"]["kind"] = "svm"
+    with pytest.raises(FormatError, match="^unknown inner model kind 'svm'$"):
+        from_json(json.dumps(doc))
