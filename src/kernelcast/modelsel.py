@@ -391,6 +391,12 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
     # Forked workers inherit the folds and fill their geometry copy-on-write.
     folds = prepare_folds(ds, fold_of, scaler)
 
+    def evaluate(cfg: Configuration, stage: Stage) -> tuple[float, str | None, str | None]:
+        try:
+            return evaluate_config(cfg, folds, stage), None, None
+        except errors.KernelcastError as exc:  # anything else is a bug and propagates
+            return math.inf, str(exc), type(exc).__name__
+
     def evaluate_stage(positions: list[int]) -> list[EvalOutcome]:
         # The stage's references and products live only as long as this call.
         started = time.perf_counter()
@@ -400,19 +406,10 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         except errors.KernelcastError as exc:
             references = exc
         stage = Stage(group, references)
-        outcomes = []
-        for cfg in group:
-            try:
-                ber = evaluate_config(cfg, folds, stage)
-                error = error_class = None
-            except errors.KernelcastError as exc:  # anything else is a bug and propagates
-                ber = math.inf
-                error, error_class = str(exc), type(exc).__name__
-            outcomes.append(EvalOutcome(cfg, ber, config_digest(cfg), 0.0, error, error_class))
-        share = (time.perf_counter() - started) / len(group)
-        for outcome in outcomes:  # the stage's time, spread evenly
-            outcome.wall_time = share
-        return outcomes
+        scores = [evaluate(cfg, stage) for cfg in group]
+        share = (time.perf_counter() - started) / len(group)  # the stage's time, spread evenly
+        return [EvalOutcome(cfg, ber, config_digest(cfg), share, error, error_class)
+                for cfg, (ber, error, error_class) in zip(group, scores)]
 
     stages: dict[int, list[int]] = {}
     for i, cfg in enumerate(configs):

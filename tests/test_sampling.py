@@ -524,3 +524,9 @@ def test_make_reference_set_rejects_oversized_k():
     ds = flat(np.ones((4, 2)))
     with pytest.raises(SamplingError):
         make_reference_set(ds, "random", 9, "euclidean", "centers", seed=0)
+
+
+def test_finalize_references_rejects_an_unknown_reference_type():
+    ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
+    with pytest.raises(SamplingError, match="^unknown reference type 'medoids'$"):
+        finalize_references(ds, [0, 1], "medoids", "euclidean", "random")

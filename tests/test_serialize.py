@@ -468,3 +468,13 @@ def test_an_unknown_inner_model_kind_fails_to_load():
     doc["inner"]["kind"] = "svm"
     with pytest.raises(FormatError, match="^unknown inner model kind 'svm'$"):
         from_json(json.dumps(doc))
+
+
+def test_an_unknown_inner_model_type_fails_to_save():
+    ds = make_blobs(n_per_class=10, spread=0.3, seed=4)
+    cfg = Configuration.from_dict({"k_references": 4, "sampling_distance": "euclidean",
+                                   "sampler": "random", "kernel": "gaussian",
+                                   "ref_type": "centers", "classifier": "gnb", "knn": None})
+    model = dataclasses.replace(kms_fit(cfg, ds, seed=0), inner=object())
+    with pytest.raises(FormatError, match="^cannot serialize inner model of type object$"):
+        to_json(model)
