@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelcast import modelsel, rand
-from kernelcast.classify import KnnParams
+from kernelcast import geometry, kernelmap, modelsel, rand
+from kernelcast.classify import ClassifierError, KnnParams
 from kernelcast.data import SCALER_KINDS, Dataset, make_folds
 from kernelcast.errors import KernelcastError
 from kernelcast.geometry import DISTANCE_KINDS
@@ -27,6 +27,7 @@ from kernelcast.kernelmap import KERNEL_KINDS, KernelError
 from kernelcast.sampling import REF_TYPES, SAMPLER_KINDS, SamplingError
 from kernelcast.serialize import from_json, to_json
 from synthdata import make_blobs, random_dataset
+from test_edge_cases import CASES as EDGE_CASES
 
 
 def knn_config(**overrides):
@@ -662,11 +663,10 @@ def stage_groups(rng, scaler):
 
 def fuzz_datasets():
     """Small datasets: blobs, noise, and the five edge-case families."""
-    from test_edge_cases import CASES
     rng = np.random.default_rng(0)
     yield make_blobs(n_per_class=12, spread=1.2, gap=2.0, seed=1)
     yield random_dataset(rng, 27, 3, n_classes=3)
-    for case in CASES:
+    for case in EDGE_CASES:
         yield Dataset(*case(), ["a", "b"])
 
 
@@ -727,8 +727,6 @@ def test_stage_evaluation_equals_lone_evaluation(case_seed, two_workers):
 @pytest.mark.parametrize("case_seed", range(3))
 def test_stage_products_fail_only_the_configurations_that_reach_them(case_seed, monkeypatch,
                                                                       two_workers):
-    from kernelcast import geometry, kernelmap
-    from kernelcast.classify import ClassifierError
     monkeypatch.setattr(kernelmap, "kernel_matrix", failing(kernelmap.kernel_matrix, 17, KernelError))
     monkeypatch.setattr(modelsel, "gnb_fit", failing(modelsel.gnb_fit, 5, ClassifierError))
     monkeypatch.setattr(geometry, "nearest", failing(geometry.nearest, 11, SearchError))
@@ -741,7 +739,6 @@ def test_stage_products_fail_only_the_configurations_that_reach_them(case_seed, 
 @pytest.mark.parametrize("target", ["kernel_matrix", "nearest"])
 def test_a_programming_error_in_a_stage_product_stops_the_search(target, monkeypatch,
                                                                   two_workers):
-    from kernelcast import geometry, kernelmap
     module = kernelmap if target == "kernel_matrix" else geometry
     monkeypatch.setattr(module, target, failing(getattr(module, target), 2, TypeError))
     ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=3)
