@@ -14,9 +14,10 @@ from .errors import KernelcastError
 
 DISTANCE_KINDS = ("euclidean", "angle")
 
-# Cap on elements materialized per broadcast block when computing exact
-# euclidean distances.  Keeps peak memory bounded for large query sets.
+# Caps on elements per block of query rows: a shortlist block, its gathered differences
+# included (32 MiB), and a cache-sized subtraction block of _euclidean_matrix (2 MiB).
 _BLOCK_ELEMENTS = 1 << 22
+_DIFF_ELEMENTS = 1 << 18
 
 # Cap on cells of the euclidean self-distance matrix one TrainingGeometry
 # keeps (32 MiB of float64, n <= 2,048); past it, no row is kept.
@@ -50,7 +51,7 @@ def _euclidean_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # expansion: identical rows must come out at distance exactly 0.
     n, m = a.shape[0], b.shape[0]
     out = np.empty((n, m), dtype=np.float64)
-    step = max(1, _BLOCK_ELEMENTS // max(1, m * a.shape[1]))
+    step = max(1, _DIFF_ELEMENTS // max(1, m * a.shape[1]))
     for i in range(0, n, step):
         out[i:i + step] = _diff_norms(a[i:i + step, None, :] - b[None, :, :])
     return out
@@ -64,9 +65,11 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _unit_angles(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    # The one angle formula: both pairwise and TrainingGeometry call it on
-    # unit rows, so equal operands of equal shapes give equal bits.
-    return np.arccos(np.clip(ua @ ub.T, -1.0, 1.0))
+    # The one angle formula: pairwise and TrainingGeometry call it on unit rows,
+    # so equal operands of equal shapes give equal bits.  It makes one array.
+    cos = ua @ ub.T
+    np.clip(cos, -1.0, 1.0, out=cos)
+    return np.arccos(cos, out=cos)
 
 
 def _angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,49 +193,52 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
     packed by ``_pack``, at least k per row and its k nearest among them, and
     their distances (None for euclidean ones, not yet computed exactly).
     """
-    if kind == "angle":
-        dists = pairwise(kind, q, t)
-        kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-        # Every entry up to the k-th value, so ties at it are complete, and at
-        # least k per row: NaN sorts last and compares false, so a row with
-        # fewer than k numbers keeps every column.
-        yield slice(None), *_pack(~(dists > kth[:, None]), k, dists)
-        return
-    # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the candidates.
-    # Folding -2 into the training operand is exact but where a product
-    # underflows.  The Gram value and the exact sum of squared differences each
-    # lie within gamma_{d+2} (|a| + |b|)^2 of the true squared distance, plus a
-    # few subnormal units for underflow, in any summation order: no term passes
-    # d + 2 roundings, and the summed magnitudes never exceed (|a| + |b|)^2.
-    # ``bound``, taken with the block's largest |a| and the largest |b|, covers
-    # both with room for its own rounding.  So the k training rows at or below
-    # the k-th Gram value have exact squares of at most kth + bound, and a row
-    # whose Gram value exceeds ``cutoff`` has an exact square above that by a
-    # factor over 1 + 4u (u the unit roundoff): its correctly rounded square
-    # root is strictly larger than theirs, and it cannot be among the first k,
-    # ties by column included.
     n, d = q.shape
     m = t.shape[0]
-    sq_t = np.einsum("ij,ij->i", t, t)
-    tt = -2.0 * t.T
-    top = np.sqrt(sq_t.max())
-    gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
-    # A block's Gram-sized temporaries, and its gathered differences even
-    # when every column is kept, stay within _BLOCK_ELEMENTS.
+    # A block's partition copy, mask and temporaries, and its gathered
+    # differences even when every column is kept, stay within _BLOCK_ELEMENTS.
     step = max(1, _BLOCK_ELEMENTS // (m * (d + 8)))
+    if kind == "angle":
+        # One full product, read by row blocks: a BLAS product of a row block
+        # need not equal the same rows of the whole product, bit for bit.
+        dists = pairwise(kind, q, t)
+    else:
+        # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the
+        # candidates.  Folding -2 into the training operand is exact but where
+        # a product underflows.  The Gram value and the exact sum of squared
+        # differences each lie within gamma_{d+2} (|a| + |b|)^2 of the true
+        # squared distance, plus a few subnormal units for underflow, in any
+        # summation order: no term passes d + 2 roundings, and the summed
+        # magnitudes never exceed (|a| + |b|)^2.  ``bound``, taken with the
+        # block's largest |a| and the largest |b|, covers both with room for
+        # its own rounding.  So the k training rows at or below the k-th Gram
+        # value have exact squares of at most kth + bound, and a row whose Gram
+        # value exceeds ``cutoff`` has an exact square above that by a factor
+        # over 1 + 4u (u the unit roundoff): its correctly rounded square root
+        # is strictly larger than theirs, and it cannot be among the first k,
+        # ties by column included.
+        sq_t = np.einsum("ij,ij->i", t, t)
+        tt = -2.0 * t.T
+        top = np.sqrt(sq_t.max())
+        gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
     for i in range(0, n, step):
-        a = q[i:i + step]
-        sq_a = np.einsum("ij,ij->i", a, a)
-        gram = a @ tt
-        gram += sq_t
-        gram += sq_a[:, None]
-        bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
-        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
-        cutoff = (kth + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
-        # Each row keeps at least its k smallest values, as NaN compares false:
-        # a block whose bound, or a row whose Gram values are not finite
-        # (inf/NaN input, overflowing norms), keeps every column.
-        yield slice(i, i + step), _pack(~(gram > cutoff[:, None]), k)[0], None
+        if kind == "angle":
+            block = dists[i:i + step]
+        else:
+            a = q[i:i + step]
+            sq_a = np.einsum("ij,ij->i", a, a)
+            block = a @ tt
+            block += sq_t
+            block += sq_a[:, None]
+        cutoff = np.partition(block, k - 1, axis=1)[:, k - 1]
+        if kind == "euclidean":
+            bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
+            cutoff = (cutoff + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
+        # Every entry up to the cutoff, so ties at the k-th value are complete,
+        # and at least k per row: NaN sorts last and compares false, so a row
+        # with fewer than k numbers, a euclidean block whose bound, or a row whose
+        # Gram values are not finite (inf/NaN input, overflowing norms), keeps all.
+        yield slice(i, i + step), *_pack(~(block > cutoff[:, None]), k, block if kind == "angle" else None)
 
 
 def nearest(kind: str, queries, train, k: int,

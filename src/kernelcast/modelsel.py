@@ -321,7 +321,8 @@ def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
     bers = []
     for i, (fold, refs) in enumerate(zip(folds, stage.references)):
         train = stage.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
-        fitted = fit_pipeline(cfg, fold, refs, train)
+        # A ranked group votes from the shared ranking: it reads no fitted kNN.
+        fitted = None if ranked_k else fit_pipeline(cfg, fold, refs, train)
         # The held-out rows, scaled and mapped as pipeline_predict does it.
         scaled = stage.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
         dists = stage.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)

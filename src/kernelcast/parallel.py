@@ -9,7 +9,7 @@ method is unavailable the items run sequentially.  A worker receives only a
 (start, stop) chunk of input positions and returns its results, which are
 joined in input order, so schedules never change outputs.  On Linux a
 worker dies with its parent, so killing a search never leaves workers
-behind.
+behind.  Workers run one thread of numpy's bundled OpenBLAS each.
 """
 
 from __future__ import annotations
@@ -56,6 +56,21 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+def _openblas_threads():
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS; no-ops
+    where that library is not loaded (another BLAS build, or no /proc)."""
+    import ctypes  # imported here, like multiprocessing: the sequential path never needs it
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(line.split(None, 5)[5].strip() for line in maps if "/libscipy_openblas64_" in line)
+        lib = ctypes.CDLL(path)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, AttributeError):
+        return (lambda: 1), (lambda count: None)
+    get.argtypes, get.restype, put.argtypes, put.restype = (), ctypes.c_int, (ctypes.c_int,), None
+    return get, put
+
+
 def _start_worker(job, parent: int) -> None:
     global _job
     _job = job
@@ -83,8 +98,16 @@ def map_indexed(fn, items, threads: int | None = None) -> list:
 
     chunks = min(len(items), CHUNKS_PER_WORKER * limit)
     bounds = [(len(items) * i // chunks, len(items) * (i + 1) // chunks) for i in range(chunks)]
+    # Workers forked while OpenBLAS is held at one thread run one each.  Set in a
+    # worker, it restarts the pool the fork shut down, whose thread spins ~0.1 s.
+    get_blas_threads, set_blas_threads = _openblas_threads()
+    parent_blas_threads = get_blas_threads()
+    set_blas_threads(1)
     # Under fork the initializer's arguments are inherited, not pickled, so
     # fn may be a closure.  The with block joins every worker before returning.
-    with ProcessPoolExecutor(limit, mp_context=context, initializer=_start_worker,
-                             initargs=((fn, items), os.getpid())) as pool:
-        return [result for chunk in pool.map(_run_chunk, bounds) for result in chunk]
+    try:
+        with ProcessPoolExecutor(limit, mp_context=context, initializer=_start_worker,
+                                 initargs=((fn, items), os.getpid())) as pool:
+            return [result for chunk in pool.map(_run_chunk, bounds) for result in chunk]
+    finally:
+        set_blas_threads(parent_blas_threads)

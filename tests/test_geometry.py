@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,95 @@ def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
     # both the padded and the uniform-width packing ran, on blocks exactly k wide and wider
     widths, wide = zip(*kept)
     assert 1 in widths and max(widths) > 1 and any(wide) and not all(wide)
+
+
+# ------------------------------------------------------ block boundaries
+
+def block_boundary_rows(rng, n, m, d):
+    """Ties at the k-th value in rows of several blocks, zero and NaN rows."""
+    train = rng.normal(size=(m, d))[rng.integers(0, m, size=m)]  # duplicates tie
+    train[rng.random(m) < 0.1] = 0.0
+    queries = rng.normal(size=(n, d))
+    queries[rng.integers(0, n, size=n // 4)] = train[0]  # the same ties, block after block
+    queries[rng.random(n) < 0.1] = 0.0
+    queries[rng.random(n) < 0.1] = np.nan
+    return queries, train
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", geometry.DISTANCE_KINDS)
+def test_nearest_keeps_the_full_product_bytes_across_row_blocks(monkeypatch, kind):
+    # Angle blocks read rows of one full product: a product of each row block
+    # differs from those rows of the full product in the last bits here.
+    calls = []  # per _shortlists call: its query rows and the row span of each block
+    shortlists = geometry._shortlists
+
+    def spy(kind, q, t, k):
+        calls.append((q.shape[0], []))
+        for part in shortlists(kind, q, t, k):
+            calls[-1][1].append(part[0])
+            yield part
+
+    monkeypatch.setattr(geometry, "_shortlists", spy)
+    monkeypatch.setattr(geometry, "_DIFF_ELEMENTS", 1)
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n, m, d = (int(x) for x in rng.integers([20, 2, 1], [60, 40, 30]))
+        queries, train = block_boundary_rows(rng, n, m, d)
+        rows = int(rng.integers(2, 8))  # rows per block
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", m * (d + 8) * rows)
+        for k in {1, m // 2 + 1, m, m + 3}:
+            assert_nearest_is_stable_argsort_prefix(kind, queries, train, k)
+    # every call spans three blocks or more, and some end on a ragged block
+    assert all(len(spans) >= 3 for _, spans in calls)
+    assert any(spans[-1].stop > n for n, spans in calls)
+
+
+def test_euclidean_pairwise_gives_the_same_bytes_at_every_block_size(monkeypatch):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n, m, d = (int(x) for x in rng.integers(1, [40, 30, 12]))
+        a, b = rng.normal(size=(n, d)), 1e3 * rng.normal(size=(m, d))
+        want = geometry.pairwise("euclidean", a, b).tobytes()
+        for rows in range(1, n + 1):
+            monkeypatch.setattr(geometry, "_DIFF_ELEMENTS", m * d * rows)
+            assert geometry.pairwise("euclidean", a, b).tobytes() == want
+
+
+# ------------------------------------------------------ transient memory
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("kind,bound", [("angle", 1.8), ("euclidean", 0.6)],
+                         ids=["angle", "euclidean"])
+def test_nearest_peak_memory_stays_near_one_distance_matrix(kind, bound):
+    # Angle keeps one full product; partition, mask and pack run by row block.
+    rng = np.random.default_rng(31)
+    queries, train = rng.random((4900, 16)), rng.random((400, 16))
+    cells = 8 * queries.shape[0] * train.shape[0]
+    for ordered in (True, False):
+        _, peak = traced_peak(geometry.nearest, kind, queries, train, 21, ordered)
+        assert peak < bound * cells, peak / cells
+
+
+@pytest.mark.parametrize("kind,shape,d,bound", [("angle", (4900, 400), 16, 1.5),
+                                                ("euclidean", (50_000, 16), 10, 3.0)],
+                         ids=["angle", "euclidean"])
+def test_pairwise_peak_memory_stays_near_its_result(kind, shape, d, bound):
+    # Angles clip in place; euclidean subtraction blocks stay cache-sized.
+    rng = np.random.default_rng(37)
+    result, peak = traced_peak(geometry.pairwise, kind, rng.random((shape[0], d)),
+                               rng.random((shape[1], d)))
+    assert peak < bound * result.nbytes, peak / result.nbytes
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
