@@ -138,9 +138,11 @@ def gnb_predict(model: GnbModel, queries: np.ndarray) -> np.ndarray:
     if feats.shape[1] != model.means.shape[1]:
         raise ClassifierError("query width does not match the fitted model")
     scores = np.empty((feats.shape[0], model.class_ids.size))
+    terms = np.empty_like(feats)  # one buffer for every class's per-feature terms
     for i in range(model.class_ids.size):
-        dev = feats - model.means[i]
-        loglik = -0.5 * (np.log(2.0 * np.pi * model.variances[i]) +
-                         dev * dev / model.variances[i]).sum(axis=1)
-        scores[:, i] = np.log(model.priors[i]) + loglik
+        np.subtract(feats, model.means[i], out=terms)
+        terms *= terms
+        terms /= model.variances[i]
+        terms += np.log(2.0 * np.pi * model.variances[i])
+        scores[:, i] = np.log(model.priors[i]) - 0.5 * terms.sum(axis=1)
     return model.class_ids[np.argmax(scores, axis=1)].astype(np.int64)

@@ -5,8 +5,8 @@ documents) or an OS error prints ``error: <message>`` to standard error and
 exits 1; anything else is a bug and propagates with its traceback.  Reports
 and models are JSON documents; repeated runs with the same seed reproduce
 them byte for byte apart from wall-time fields.  KERNELCAST_THREADS sets how
-many forked worker processes evaluate a search (0 = one per CPU, capped at
-the CPU count; sequential where fork is unavailable).
+many processes evaluate a search, the caller and its forked workers (0 = one
+per CPU, capped at the CPU count; sequential where fork is unavailable).
 """
 
 from __future__ import annotations

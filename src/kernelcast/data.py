@@ -340,7 +340,8 @@ class ScalerSpec:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.offset.shape[0]:
             raise DataError("feature width does not match the fitted scaler")
-        out = (features - self.offset) / self.scale
+        out = features - self.offset
+        out /= self.scale
         if not self.active.all():
             out[:, ~self.active] = 0.0
         return out

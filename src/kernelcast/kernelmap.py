@@ -40,11 +40,18 @@ def kernel_matrix(kind: str, dists: np.ndarray, sigmas: np.ndarray) -> np.ndarra
         raise KernelError("sigma must be finite and strictly positive")
     if kind == "linear":
         return dists.copy()
+    # One fresh array per call, transformed in place.
     if kind == "gaussian":
-        return np.exp(np.clip(-dists / sigmas, -_EXP_CLAMP, _EXP_CLAMP))
+        out = np.negative(dists)
+        out /= sigmas
+        return np.exp(np.clip(out, -_EXP_CLAMP, _EXP_CLAMP, out=out), out=out)
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(np.clip(sigmas - dists, -_EXP_CLAMP, _EXP_CLAMP)))
-    return 1.0 / (1.0 + dists / sigmas)
+        out = np.subtract(sigmas, dists)
+        np.exp(np.clip(out, -_EXP_CLAMP, _EXP_CLAMP, out=out), out=out)
+    else:
+        out = dists / sigmas
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def map_matrix(features: np.ndarray, refs: ReferenceSet, kernel: str,

@@ -252,8 +252,8 @@ def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet,
 def pipeline_predict(model: KmsModel, features: np.ndarray, mapped: bool = False) -> np.ndarray:
     """Scale, map, and classify raw query rows, or classify rows already ``mapped``."""
     if not mapped:
-        scaled = model.scaler.transform(np.asarray(features, dtype=np.float64))
-        features = map_matrix(scaled, model.refs, model.config.kernel)
+        features = map_matrix(model.scaler.transform(np.asarray(features, dtype=np.float64)),
+                              model.refs, model.config.kernel)
     if model.config.classifier == "knn":
         return knn_predict(model.inner, features)
     return gnb_predict(model.inner, features)

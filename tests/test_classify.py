@@ -8,7 +8,7 @@ from kernelcast.classify import (ClassifierError, GnbModel, KnnModel, KnnParams,
                                  gnb_fit, gnb_predict, knn_fit, knn_predict)
 from kernelcast.data import Dataset
 from spies import ArgmaxSpy
-from test_geometry import NEAREST_INPUTS
+from test_geometry import NEAREST_INPUTS, traced_peak
 
 
 def mapped(features, labels, n_classes=None):
@@ -285,3 +285,11 @@ def test_gnb_predict_rejects_queries_of_another_width():
     ds = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), np.array([0, 1, 1]), ["a", "b"])
     with pytest.raises(ClassifierError, match="^query width does not match the fitted model$"):
         gnb_predict(gnb_fit(ds), np.zeros((2, 3)))
+
+
+def test_gnb_predict_reuses_one_buffer_across_classes():
+    rng = np.random.default_rng(43)
+    queries = rng.random((20_000, 40))
+    model = gnb_fit(mapped(queries, np.arange(20_000) % 3))
+    _, peak = traced_peak(gnb_predict, model, queries)
+    assert peak < 1.3 * queries.nbytes, peak / queries.nbytes

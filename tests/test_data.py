@@ -284,6 +284,20 @@ def test_maxabs_frozen_values():
     assert out.features.tolist() == [[-1.0], [0.5]]
 
 
+def test_scaler_transform_makes_one_array():
+    # The scaled rows are divided in place: no second full-size array.
+    rng = np.random.default_rng(47)
+    features = rng.random((20_000, 40))
+    spec = fit_scaler("standardize", Dataset(features, np.arange(20_000) % 2, ["a", "b"]))
+    tracemalloc.start()
+    try:
+        spec.transform(features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * features.nbytes, peak / features.nbytes
+
+
 @pytest.mark.parametrize("kind,constant", [
     ("standardize", 5.0),  # zero spread
     ("minmax", 5.0),       # zero range

@@ -12,6 +12,7 @@ from kernelcast.modelsel import (Configuration, fit_pipeline, kms_fit, prepare_f
                                  sample_references)
 from kernelcast.sampling import REF_TYPES, SAMPLER_KINDS, ReferenceSet, make_reference_set
 from synthdata import random_dataset
+from test_geometry import traced_peak
 
 
 def refs_of(points, sigmas, dist="euclidean"):
@@ -186,3 +187,12 @@ def test_a_reloaded_model_carries_no_sampler_distances(classifier):
     assert "fitted" not in serialize.to_json(model)
     # a refit model for training or an ensemble keeps no training-row matrix
     assert kms_fit(cfg, ds, 3).refs.fitted_dists is None
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_kernel_matrix_makes_one_array(kernel):
+    # One fresh array per call, transformed in place.
+    rng = np.random.default_rng(41)
+    dists, sigmas = rng.random((20_000, 40)), rng.random(40) + 0.1
+    _, peak = traced_peak(kernel_matrix, kernel, dists, sigmas)
+    assert peak < 1.1 * dists.nbytes, peak / dists.nbytes

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import warnings
 
@@ -367,6 +366,11 @@ def test_failed_configs_get_infinite_score_and_never_win():
     assert np.isfinite(report.best.cv_ber)
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # every forked worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_programming_errors_propagate_out_of_search(monkeypatch):
     def raise_type_error(*args):
         raise TypeError("simulated bug")
@@ -384,7 +388,7 @@ def test_programming_errors_propagate_out_of_search(monkeypatch):
             with pytest.raises(error, match=message) as failure:
                 random_search(ds, sample_size=4, seed=0, threads=threads)
             assert not isinstance(failure.value, KernelcastError)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_grid_search_never_worse_than_random_subsample():
@@ -746,4 +750,4 @@ def test_a_programming_error_in_a_stage_product_stops_the_search(target, monkeyp
     for threads in (1, 2):
         with pytest.raises(TypeError, match=f"^{target} failed on "):
             modelsel._run_search(ds, configs, 3, 0, "none", "grid", None, threads)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()

@@ -1,13 +1,12 @@
 """The forked worker pool behind KERNELCAST_THREADS."""
 
 import json
-import multiprocessing
 import os
+import select
 import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -18,8 +17,7 @@ from synthdata import make_blobs, write_labeled_csv
 
 PARENT = os.getpid()
 
-pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker processes need the fork start method")
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
 
 
 @pytest.fixture
@@ -33,70 +31,123 @@ def cpus(monkeypatch):
 @pytest.fixture(autouse=True)
 def no_process_outlives_the_test():
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def meet():
+    """A call for items to make so that the caller and a worker each take one.
+
+    The caller may drain the chunk queue before a worker starts.  So each
+    process's first call waits, up to 30 s, until the other side has called
+    too; later calls pass straight through.
+    """
+    to_caller, to_workers = os.pipe(), os.pipe()
+
+    def meet_other_side():
+        mine, theirs = (to_caller, to_workers) if os.getpid() == PARENT else (to_workers, to_caller)
+        os.write(theirs[1], b".")
+        select.select([mine[0]], [], [], 30)
+
+    yield meet_other_side
+    for fd in (*to_caller, *to_workers):
+        os.close(fd)
 
 
 @pytest.mark.parametrize("count,threads", [(11, 2), (2, 3)],
                          ids=["11-items-over-8-chunks", "fewer-items-than-workers"])
-def test_results_come_back_in_input_order(cpus, count, threads):
+def test_results_come_back_in_input_order(cpus, meet, count, threads):
     cpus(threads)
     items = list(range(100, 100 + count))
-    results = parallel.map_indexed(lambda item: (item, os.getpid()), items, threads)
+
+    def tagged(item):
+        meet()
+        return item, os.getpid()
+
+    results = parallel.map_indexed(tagged, items, threads)
     assert [item for item, _ in results] == items
-    assert PARENT not in {pid for _, pid in results}
-    assert parallel._job is None  # the parent process never holds a job
+    pids = {pid for _, pid in results}
+    assert PARENT in pids and len(pids) == 2  # the caller and its one worker
 
 
-def test_worker_error_reraises_in_the_parent(cpus):
+def fail_in_workers(item):
+    if os.getpid() != PARENT:
+        raise TypeError(f"simulated bug on item {item}")
+    return item
+
+
+def test_worker_error_reraises_in_the_parent(cpus, meet):
     cpus(2)
 
-    def fail_on_five(item):
-        if item == 5:
-            raise TypeError(f"simulated bug on item {item}")
-        return item
+    def fail(item):
+        meet()
+        return fail_in_workers(item)
 
-    with pytest.raises(TypeError, match="simulated bug on item 5"):
-        parallel.map_indexed(fail_on_five, list(range(10)), 2)
+    with pytest.raises(TypeError, match="simulated bug on item") as failure:
+        parallel.map_indexed(fail, list(range(10)), 2)
+    cause = str(failure.value.__cause__)  # the worker's own traceback, as text
+    assert "Traceback (most recent call last)" in cause and "in fail_in_workers" in cause
 
 
-def test_dead_worker_raises_broken_pool(cpus):
+def test_dead_worker_raises_child_process_error(cpus, meet):
     cpus(2)
 
     def die(item):
-        if os.getpid() == PARENT:
-            raise AssertionError("the item ran in the parent process")
-        os._exit(3)
+        meet()
+        if os.getpid() != PARENT:
+            os._exit(3)
+        return item
 
-    with pytest.raises(BrokenProcessPool):
+    with pytest.raises(ChildProcessError, match=r"worker \d+ exited without a result "
+                                                r"\(wait status 768\)"):
         parallel.map_indexed(die, list(range(6)), 2)
 
 
-class FakeExecutor:
-    """Stands in for ProcessPoolExecutor: records its arguments, runs chunks in-process."""
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+@pytest.mark.parametrize("failure,error", [(None, None), ("worker-error", TypeError),
+                                           ("worker-exit", ChildProcessError),
+                                           ("caller-error", TypeError)],
+                         ids=["success", "worker-error", "worker-exit", "caller-error"])
+def test_no_descriptor_or_process_is_left_behind(cpus, meet, failure, error):
+    cpus(2)
 
-    calls = []
+    def item_fn(item):
+        meet()
+        in_worker = os.getpid() != PARENT
+        if (failure == "worker-error" and in_worker) or (failure == "caller-error" and not in_worker):
+            raise TypeError("simulated bug")
+        if failure == "worker-exit" and in_worker:
+            os._exit(3)
+        # When the caller fails, its worker is still busy, and must be killed.
+        time.sleep(10 if failure == "caller-error" and in_worker else 0.01)
+        return item
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.max_workers = max_workers
-        initializer(*initargs)
+    before, started = sorted(os.listdir("/proc/self/fd")), time.monotonic()
+    if error is None:
+        assert parallel.map_indexed(item_fn, list(range(4)), 2) == list(range(4))
+    else:
+        with pytest.raises(error):
+            parallel.map_indexed(item_fn, list(range(4)), 2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert time.monotonic() - started < 5
+    # no_process_outlives_the_test checks that every worker was reaped.
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+class SliceLog(list):
+    """The items list, writing each slice taken of it, in whatever process, to a pipe."""
 
-    def map(self, fn, bounds):
-        FakeExecutor.calls.append((self.max_workers, list(bounds)))
-        return map(fn, bounds)
+    def __init__(self, items, pipe: int):
+        super().__init__(items)
+        self.pipe = pipe
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            os.write(self.pipe, f"{index.start} {index.stop}\n".encode())
+        return super().__getitem__(index)
 
 
 def test_worker_count_is_capped_at_cpus_and_chunks(cpus, monkeypatch):
-    import concurrent.futures
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(FakeExecutor, "calls", [])
-    monkeypatch.setattr(parallel, "_job", None)  # the fake runs the worker set-up here
-    monkeypatch.setattr(parallel, "_die_with_parent", lambda parent: None)
     cpus(3)
     assert parallel.thread_limit(100000) == 3
     assert parallel.thread_limit(0) == 3
@@ -105,14 +156,32 @@ def test_worker_count_is_capped_at_cpus_and_chunks(cpus, monkeypatch):
     monkeypatch.setenv(parallel.ENV_VAR, "100000")
     assert parallel.thread_limit() == 3
 
-    assert parallel.map_indexed(abs, list(range(-20, 0))) == list(range(20, 0, -1))
-    assert parallel.map_indexed(abs, [-1, -2]) == [1, 2]
-    assert parallel.map_indexed(abs, [-7]) == [7]  # one item: no pool at all
-    (wide, wide_bounds), (narrow, narrow_bounds) = FakeExecutor.calls
-    assert wide == 3 and len(wide_bounds) == 3 * parallel.CHUNKS_PER_WORKER
-    assert wide_bounds[0][0] == 0 and wide_bounds[-1][1] == 20
-    assert all(a[1] == b[0] for a, b in zip(wide_bounds, wide_bounds[1:]))
-    assert narrow == 2 and narrow_bounds == [(0, 1), (1, 2)]
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def workers_and_chunks(items):
+        forks.clear()
+        read_end, write_end = os.pipe()
+        try:
+            assert parallel.map_indexed(abs, SliceLog(items, write_end)) == [abs(i) for i in items]
+        finally:
+            os.close(write_end)
+        with open(read_end, "rb") as log:
+            return len(forks), sorted(tuple(map(int, line.split())) for line in log)
+
+    workers, bounds = workers_and_chunks(list(range(-20, 0)))
+    assert workers == 2 and len(bounds) == 3 * parallel.CHUNKS_PER_WORKER  # the caller is the third
+    assert bounds[0][0] == 0 and bounds[-1][1] == 20
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    assert workers_and_chunks([-1, -2]) == (1, [(0, 1), (1, 2)])
+    assert workers_and_chunks([-7]) == (0, [])  # one item: no pool at all
 
 
 def test_two_worker_search_with_failures_writes_the_sequential_report(tmp_path, monkeypatch,
@@ -139,12 +208,14 @@ def test_two_worker_search_with_failures_writes_the_sequential_report(tmp_path, 
 
 def test_importing_the_package_loads_no_process_machinery():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, kernelcast.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    code = ("import os, sys, kernelcast.cli; from kernelcast import parallel; "
+            "loaded = lambda: sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)); "
+            "print(loaded()); os.cpu_count = lambda: 2; "
+            "assert parallel.map_indexed(abs, [-1, -2, -3], 2) == [1, 2, 3]; print(loaded())")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]  # after the import, and after a 2-worker map
 
 
 KILLED_SEARCH = """
@@ -155,8 +226,13 @@ from synthdata import make_blobs
 os.cpu_count = lambda: 2
 evaluate_config = modelsel.evaluate_config
 
+announced_pids = set()
+
 def announced(*args):
-    os.write(1, f"{os.getpid()}\\n".encode())  # one write: the workers share the pipe
+    # Once per process, so a worker never writes to the pipe once the test closes it.
+    if os.getpid() not in announced_pids:
+        announced_pids.add(os.getpid())
+        os.write(1, f"{os.getpid()}\\n".encode())  # one write: the processes share the pipe
     time.sleep(0.05)
     return evaluate_config(*args)
 
@@ -182,11 +258,12 @@ def test_workers_die_with_a_terminated_parent():
     child = subprocess.Popen([sys.executable, "-c", KILLED_SEARCH], env=env,
                              stdout=subprocess.PIPE, text=True)
     try:
-        workers = set()
+        pids = set()
         deadline = time.monotonic() + 60
-        while len(workers) < 2 and time.monotonic() < deadline:
-            workers.add(int(child.stdout.readline()))
-        assert len(workers) == 2 and child.pid not in workers
+        while len(pids) < 2 and time.monotonic() < deadline:
+            pids.add(int(child.stdout.readline()))
+        assert child.pid in pids and len(pids) == 2  # the caller evaluates too
+        workers = pids - {child.pid}
         child.terminate()
         assert child.wait(timeout=10) == -signal.SIGTERM
     finally:

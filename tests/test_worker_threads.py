@@ -1,12 +1,12 @@
 """Forked search workers run one BLAS thread each, and write the same bytes.
 
 numpy's bundled OpenBLAS keeps its own thread pool in every forked worker;
-``parallel._start_worker`` sets it to one thread.  Where that library is not
-loaded (other BLAS builds), the thread-count test is skipped.
+``parallel.map_indexed`` holds it at one thread while it forks and runs its
+workers.  Where that library is not loaded (other BLAS builds), the
+thread-count test is skipped.
 """
 
 import ctypes
-import multiprocessing
 import os
 
 import pytest
@@ -15,9 +15,9 @@ from kernelcast import parallel
 from kernelcast.cli import main
 from synthdata import benchmark_splits, make_banana_pool, write_labeled_csv
 from test_golden_bytes import _WALL_TIME
+from test_parallel import meet  # noqa: F401  (a fixture)
 
-pytestmark = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="worker processes need the fork start method")
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
 
 
 def openblas_symbol(name: str):
@@ -42,25 +42,30 @@ def threads_of_this_process() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
-def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(two_cpus):
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(two_cpus, meet):
     get = openblas_symbol("scipy_openblas_get_num_threads64_")
     set_threads = openblas_symbol("scipy_openblas_set_num_threads64_")
     if get is None or set_threads is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
+
+    def counts(item):
+        meet()  # a worker takes items too
+        return os.getpid(), get(), threads_of_this_process()
+
     before = get()
     set_threads(2)  # a parent pool wider than one thread, where the library allows it
     try:
         parent = get()
-        counts = parallel.map_indexed(
-            lambda item: (os.getpid(), get(), threads_of_this_process()), list(range(8)), 2)
+        seen = parallel.map_indexed(counts, list(range(8)), 2)
         after = get()
     finally:
         set_threads(before)
-    assert os.getpid() not in {pid for pid, _, _ in counts}
-    # One BLAS thread, and no idle pool thread either: a count set inside a
+    # The caller and its worker both run one BLAS thread while the map lasts.
+    assert [blas for _, blas, _ in seen] == [1] * 8
+    # And a worker has no idle pool thread either: a count set inside a
     # worker would start one, which spins before it sleeps.
-    assert [blas for _, blas, _ in counts] == [1] * 8
-    assert [threads for _, _, threads in counts] == [1] * 8
+    in_workers = [threads for pid, _, threads in seen if pid != os.getpid()]
+    assert in_workers and in_workers == [1] * len(in_workers)
     assert after == parent
 
 
