@@ -372,6 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before any file is read
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (errors.KernelcastError, OSError) as exc:  # anything else is a bug and propagates
         print(f"error: {exc}", file=sys.stderr)

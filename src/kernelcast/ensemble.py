@@ -130,8 +130,9 @@ def consensus_curve(report: SearchReport, ds_train: Dataset, ds_eval: Dataset | 
         ell_max = viable - step
     if ell_max < ell_start:
         raise EnsembleError("ell_max must be at least ell_start")
-    ells = list(range(ell_start, ell_max + 1, step))
+    ells = range(ell_start, ell_max + 1, step)  # listed once build_ensemble accepts its size
     largest = build_ensemble(report, ds_train, ells[-1] + step, seed)
+    ells = list(ells)
     eval_ds = ds_train if ds_eval is None else ds_eval
     votes = member_votes(largest, eval_ds.features)
     sizes = sorted({*ells, *(ell + step for ell in ells)})

@@ -6,7 +6,8 @@ configurations by stratified cross-validation on the balanced error rate and
 returns a report listing everything it tried.  Configurations that differ only
 in kernel and classifier form one reference stage and fit on the same
 references, sampled once per fold; they share held-out distances, kernel maps
-and neighbour rankings too.
+and neighbour rankings too.  Each configuration of a stage predicts on every
+fold, then one balanced error rate call per fold scores them all.
 """
 
 from __future__ import annotations
@@ -137,34 +138,40 @@ def stage_digest(cfg: Configuration) -> int:
 
 
 def balanced_error_rate(truth, predicted, n_classes: int,
-                        include_false_positives: bool = True) -> float:
+                        include_false_positives: bool = True):
     """Mean over classes of (false positives + false negatives) / class size.
 
     With ``include_false_positives`` off, only misses count, giving the usual
     mean per-class error rate.  A class with no truth samples contributes its
     false positives over a divisor of 1 and raises a RuntimeWarning.
+    ``predicted`` of shape (G, n) scores G predictions of the same truth at
+    once: it returns G scores, each equal to the 1-d call on its row.
     """
     truth = np.asarray(truth, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
-    if truth.shape != predicted.shape or truth.ndim != 1:
-        raise SearchError("truth and predictions must be 1-d arrays of equal length")
+    if truth.ndim != 1 or predicted.ndim not in (1, 2) or predicted.shape[-1:] != truth.shape:
+        raise SearchError("truth must be a 1-d array and predictions 1-d or 2-d rows of its length")
     if n_classes < 1:
         raise SearchError("n_classes must be at least 1")
-    if truth.size == 0:
+    if predicted.size == 0:
         raise SearchError("cannot score an empty sample")
     if min(truth.min(), predicted.min()) < 0 or max(truth.max(), predicted.max()) >= n_classes:
         raise SearchError("label id out of range")
     count = np.bincount(truth, minlength=n_classes)
-    wrong = truth != predicted
-    errors = np.bincount(truth[wrong], minlength=n_classes)  # misses
-    if include_false_positives:
-        errors += np.bincount(predicted[wrong], minlength=n_classes)
     for c in np.flatnonzero(count == 0):
         warnings.warn(f"class {c} has no truth samples; scoring only its false positives",
                       RuntimeWarning, stacklevel=2)
+    rows = predicted.reshape(-1, truth.size)
+    cells = len(rows) * n_classes
+    bins = np.arange(0, cells, n_classes)[:, None]  # row r counts class c in bin r * n_classes + c
+    wrong = rows != truth
+    errors = np.bincount((bins + truth)[wrong], minlength=cells)  # misses
+    if include_false_positives:
+        errors += np.bincount((bins + rows)[wrong], minlength=cells)
     # Integer counts convert to float exactly, so each quotient is the
     # correctly rounded one that Python's int / int gives.
-    return float((errors / np.maximum(count, 1)).mean())
+    ber = (errors.reshape(-1, n_classes) / np.maximum(count, 1)).mean(axis=1)
+    return float(ber[0]) if predicted.ndim == 1 else ber
 
 
 def _grid_fields(scaler: str) -> list[tuple]:
@@ -272,7 +279,7 @@ def stage_references(cfg: Configuration, folds: list[PreparedFold],
 
 
 class Stage:
-    """The products that the configurations of one reference stage share.
+    """The configurations of one reference stage and the products they share.
 
     ``references`` are the stage's ``stage_references``, or the domain error
     their sampling raised.  A product is made when the first configuration
@@ -282,6 +289,7 @@ class Stage:
 
     def __init__(self, configs: list[Configuration],
                  references: list[ReferenceSet] | errors.KernelcastError):
+        self.configs = configs
         self.references = references
         ks: dict[tuple[str, str], list[int]] = {}
         for cfg in configs:
@@ -291,6 +299,7 @@ class Stage:
         # its largest k: the ordered ``nearest`` prefix is the smaller-k result.
         self.ranked_k = {key: max(k) for key, k in ks.items() if len(k) > 1}
         self._made = {}
+        self.results = None  # Configuration -> cv_ber, or the domain error that failed it
 
     def product(self, key: tuple, make, *args):
         if key not in self._made:
@@ -303,6 +312,43 @@ class Stage:
             raise made
         return made
 
+    def _predict(self, cfg: Configuration, i: int, fold: PreparedFold,
+                 refs: ReferenceSet) -> np.ndarray:
+        """``cfg``'s labels for fold ``i``'s held-out rows, meeting the products in its order."""
+        ranked_k = cfg.knn and self.ranked_k.get((cfg.kernel, cfg.knn.distance))
+        train = self.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
+        # A ranked group votes from the shared ranking: it reads no fitted kNN.
+        fitted = None if ranked_k else fit_pipeline(cfg, fold, refs, train)
+        # The held-out rows, scaled and mapped as pipeline_predict does it.
+        scaled = self.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
+        dists = self.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)
+        held_out = self.product(("held-out", i, cfg.kernel), map_matrix, scaled, refs,
+                                cfg.kernel, dists)
+        if not ranked_k:
+            return pipeline_predict(fitted, held_out, mapped=True)
+        order, near = self.product(("nearest", i, cfg.kernel, cfg.knn.distance), geometry.nearest,
+                                   cfg.knn.distance, held_out, train.features, ranked_k)
+        k = cfg.knn.neighbors
+        return knn_vote(train.labels, order[:, :k],
+                        None if cfg.knn.weighting == "uniform" else near[:, :k], train.n_classes)
+
+    def evaluate(self, folds: list[PreparedFold]) -> None:
+        """Fill ``results``.  Each configuration predicts fold by fold, or fails with
+        the first domain error it meets; then one balanced error rate call per fold
+        scores every configuration that did not fail."""
+        self.results, predicted = {}, {}
+        for cfg in self.configs:
+            try:
+                predicted[cfg] = [self._predict(cfg, i, fold, refs)
+                                  for i, (fold, refs) in enumerate(zip(folds, self.references))]
+            except errors.KernelcastError as exc:
+                self.results[cfg] = exc.with_traceback(None)  # kept: keep its traceback short
+        if predicted:
+            scores = [balanced_error_rate(fold.held_out.labels, [p[i] for p in predicted.values()],
+                                          fold.train.n_classes) for i, fold in enumerate(folds)]
+            # Each row of the (configurations, folds) matrix adds as np.mean adds a fold list.
+            self.results.update(zip(predicted, np.stack(scores, axis=1).mean(axis=1).tolist()))
+
 
 def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
                     references: list[ReferenceSet] | errors.KernelcastError | Stage) -> float:
@@ -311,35 +357,19 @@ def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
     folds only and scores on the held-out rows.  ``references`` are the
     ``stage_references`` of ``cfg``, the domain error their sampling raised,
-    which fails this configuration too, or a ``Stage`` of ``cfg``'s stage
-    holding either.  Fit errors propagate.
+    which fails this configuration too, or a ``Stage`` holding ``cfg`` and
+    either.  The first call on a ``Stage`` evaluates all of its
+    configurations; later calls read their kept results.  The first domain
+    error ``cfg`` meets is raised.
     """
     stage = references if isinstance(references, Stage) else Stage([cfg], references)
     if isinstance(stage.references, errors.KernelcastError):
         raise stage.references.with_traceback(None)  # shared by the stage: keep its traceback short
-    ranked_k = cfg.knn and stage.ranked_k.get((cfg.kernel, cfg.knn.distance))
-    bers = []
-    for i, (fold, refs) in enumerate(zip(folds, stage.references)):
-        train = stage.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
-        # A ranked group votes from the shared ranking: it reads no fitted kNN.
-        fitted = None if ranked_k else fit_pipeline(cfg, fold, refs, train)
-        # The held-out rows, scaled and mapped as pipeline_predict does it.
-        scaled = stage.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
-        dists = stage.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)
-        held_out = stage.product(("held-out", i, cfg.kernel), map_matrix, scaled, refs,
-                                 cfg.kernel, dists)
-        if ranked_k:
-            order, near = stage.product(("nearest", i, cfg.kernel, cfg.knn.distance),
-                                        geometry.nearest, cfg.knn.distance, held_out,
-                                        train.features, ranked_k)
-            k = cfg.knn.neighbors
-            predicted = knn_vote(train.labels, order[:, :k],
-                                 None if cfg.knn.weighting == "uniform" else near[:, :k],
-                                 train.n_classes)
-        else:
-            predicted = pipeline_predict(fitted, held_out, mapped=True)
-        bers.append(balanced_error_rate(fold.held_out.labels, predicted, fold.train.n_classes))
-    return float(np.mean(bers))
+    if stage.results is None:
+        stage.evaluate(folds)
+    if isinstance(stage.results[cfg], errors.KernelcastError):
+        raise stage.results[cfg]
+    return stage.results[cfg]
 
 
 @dataclass

@@ -365,16 +365,16 @@ def _from_doc(doc):
         raise FormatError("document is missing its kind")
     if doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported document version {doc.get('version')!r}")
-    reader = _READERS.get(doc["kind"])
+    reader = _READERS.get(doc["kind"]) if isinstance(doc["kind"], str) else None
     if reader is None:
         raise FormatError(f"unknown document kind {doc['kind']!r}")
     try:
         return reader(doc)
     except KeyError as exc:
         raise FormatError(f"{doc['kind']} document is missing field {exc.args[0]!r}") from None
-    except KernelcastError:
-        raise  # the package's own error types pass through
-    except (AttributeError, TypeError, ValueError) as exc:
+    except FormatError:
+        raise  # it names what is wrong already
+    except (KernelcastError, AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{doc['kind']} document is malformed: {exc}") from None
 
 

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -602,3 +603,74 @@ def test_failed_dump_mapped_write_keeps_previous_file(workdir, tmp_path, monkeyp
     assert "No space left on device" in capsys.readouterr().err
     assert mapped.read_bytes() == before
     assert [p.name for p in mapped.parent.iterdir()] == ["mapped.csv"]
+
+
+@pytest.mark.parametrize("command", ["search", "train", "consensus", "benchmark"])
+def test_a_negative_seed_fails_before_any_file_is_read(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    argv = {"search": ["--data", missing], "train": ["--data", missing, "--report", missing],
+            "consensus": ["--data", missing, "--report", missing],
+            "benchmark": ["--manifest", missing]}[command]
+    assert main([command, *argv, "--seed", "-1", "--out", missing]) == 1
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+# Integer arguments at and past their edges, and text that is no integer.
+EDGE_INTEGERS = ["-1", "0", "1", "2", "3", "5", str(2 ** 63), str(2 ** 70), str(-2 ** 63), "x", ""]
+
+
+def fuzzed_argv(rng, root: Path) -> list[str]:
+    """One seeded command line over the five commands, on small files in ``root``."""
+    def edge():
+        return EDGE_INTEGERS[rng.integers(len(EDGE_INTEGERS))]
+
+    def small():  # counts that size the work: at most a few configurations or members
+        return str(rng.integers(-1, 4))
+
+    data, out = ["--data", str(root / "train.csv")], ["--out", str(root / "out")]
+    command = ("search", "train", "predict", "consensus", "benchmark")[rng.integers(5)]
+    if command == "search":
+        return [command, *data, "--budget", small(), "--folds", edge(), "--seed", edge(), *out]
+    if command == "train":
+        source = ["--report", str(root / "report.json")] if rng.integers(2) else (
+            ["--config", str(root / "cfg.json")])
+        size = ["--ensemble-size", small()] if rng.integers(2) else []
+        return [command, *data, *source, *size, "--seed", edge(), *out]
+    if command == "predict":
+        truth = ["--truth-col", edge()] if rng.integers(2) else []
+        rows = root / ("train.csv" if truth else "query.csv")
+        return [command, "--model", str(root / "model.json"), "--data", str(rows), *truth, *out]
+    if command == "consensus":
+        return [command, *data, "--report", str(root / "report.json"), "--ell-start", edge(),
+                "--step", edge(), "--ell-max", edge(), "--seed", edge(), *out]
+    return [command, "--manifest", str(root / "manifest.json"), "--budget", small(),
+            "--folds", edge(), "--ensemble-size", small(), "--max-splits", small(),
+            "--seed", edge(), *out]
+
+
+def test_fuzzed_command_lines_exit_cleanly(tmp_path, capsys):
+    train = make_blobs(n_per_class=12, spread=0.6, gap=3.0, seed=0)
+    write_labeled_csv(tmp_path / "train.csv", train)
+    np.savetxt(tmp_path / "query.csv", train.features[:5], delimiter=",")
+    data = ["--data", str(tmp_path / "train.csv")]
+    assert main(["search", *data, "--budget", "6", "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["train", *data, "--report", str(tmp_path / "report.json"),
+                 "--out", str(tmp_path / "model.json")]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "k_references": 4, "sampling_distance": "euclidean", "sampler": "random",
+        "kernel": "gaussian", "ref_type": "centers", "classifier": "gnb", "knn": None}))
+    (tmp_path / "manifest.json").write_text(json.dumps({"datasets": [{"name": "blobs", "splits": [
+        {"train": str(tmp_path / "train.csv"), "test": str(tmp_path / "train.csv")}]}]}))
+    rng = np.random.default_rng(2)
+    exits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # empty truth classes on tiny folds
+        for _ in range(800):
+            argv = fuzzed_argv(rng, tmp_path)
+            try:
+                exits.append(main(argv))
+            except SystemExit as exc:  # argparse refuses the line
+                exits.append(f"argparse {exc.code}")
+            assert exits[-1] in (0, 1, "argparse 2"), argv
+    capsys.readouterr()
+    assert min(exits.count(code) for code in (0, 1, "argparse 2")) >= 50

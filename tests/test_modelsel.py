@@ -142,6 +142,43 @@ def test_ber_equals_the_per_class_loop_bit_for_bit():
     assert empty_seen > 50
 
 
+def test_ber_of_stacked_predictions_equals_the_1d_call_on_each_row_bit_for_bit():
+    rng = np.random.default_rng(2)
+    seen = {"single": 0, "stacked": 0, "empty": 0}
+    for trial in range(400):
+        n_classes = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 60))
+        truth = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n)
+        g = 1 if trial % 4 == 0 else int(rng.integers(2, 9))
+        predicted = rng.integers(0, n_classes, size=(g, n))
+        empty = n_classes - np.unique(truth).size
+        seen["single" if g == 1 else "stacked"] += 1
+        seen["empty"] += empty > 0
+        for fp in (True, False):
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                scores = balanced_error_rate(truth, predicted, n_classes, fp)
+            assert len(got) == empty and all(w.category is RuntimeWarning for w in got)
+            assert scores.dtype == np.float64 and scores.shape == (g,)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rows = [balanced_error_rate(truth, row, n_classes, fp) for row in predicted]
+            assert [float(s).hex() for s in scores] == [r.hex() for r in rows]
+    assert min(seen.values()) > 50
+
+
+@pytest.mark.parametrize("truth,predicted", [
+    (np.zeros(4, int), np.zeros((2, 3), int)),      # rows shorter than the truth
+    (np.zeros(4, int), np.zeros((2, 2, 4), int)),   # three dimensions
+    (np.zeros((1, 4), int), np.zeros((1, 4), int)),  # 2-d truth
+    (np.zeros(4, int), np.zeros((0, 4), int)),      # no rows
+    (np.zeros(0, int), np.zeros((2, 0), int)),      # empty rows
+])
+def test_ber_rejects_misshaped_stacked_predictions(truth, predicted):
+    with pytest.raises(SearchError):
+        balanced_error_rate(truth, predicted, 2)
+
+
 def test_config_dict_and_digest_match_dataclasses_asdict():
     for cfg in enumerate_grid("standardize")[::7] + enumerate_grid()[:40]:
         old = dataclasses.asdict(cfg)
@@ -738,6 +775,33 @@ def test_stage_products_fail_only_the_configurations_that_reach_them(case_seed, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert_stages_match_lone_configurations(10 + case_seed, [ds, ds])
+
+
+def test_a_configuration_failing_between_two_survivors_leaves_their_scores(monkeypatch,
+                                                                           two_workers):
+    # The GNB fit fails on the second fold's training rows only, so the middle
+    # configuration is scored on fold 0 and then drops out of the stacked scores.
+    fit, seen = modelsel.gnb_fit, []
+
+    def fails_on_the_second_fold(mapped):
+        key = mapped.features.tobytes()
+        if key not in seen:
+            seen.append(key)
+        if seen.index(key) == 1:
+            raise ClassifierError("gnb_fit failed on the second fold")
+        return fit(mapped)
+
+    monkeypatch.setattr(modelsel, "gnb_fit", fails_on_the_second_fold)
+    ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=5)
+    knn = knn_config(k_references=8, kernel="cauchy")
+    configs = [knn, dataclasses.replace(knn, classifier="gnb", knn=None),
+               dataclasses.replace(knn, knn=KnnParams(5, "distance", "euclidean"))]
+    folds = prepare_folds(ds, make_folds(ds, 3, 6), "none")
+    expected = [lone_outcome(cfg, folds, 6) for cfg in configs]
+    assert [error for _, error, _ in expected] == [None, "gnb_fit failed on the second fold", None]
+    for threads in (1, 2):
+        report = modelsel._run_search(ds, configs, 3, 6, "none", "random", None, threads)
+        assert [(e.cv_ber.hex(), e.error, e.error_class) for e in report.entries] == expected
 
 
 @pytest.mark.parametrize("target", ["kernel_matrix", "nearest"])

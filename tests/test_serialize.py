@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from kernelcast.classify import KnnParams
 from kernelcast.ensemble import Ensemble, build_ensemble, ensemble_predict
-from kernelcast.modelsel import Configuration, kms_fit, random_search
+from kernelcast.errors import KernelcastError
+from kernelcast.modelsel import Configuration, KmsModel, kms_fit, pipeline_predict, random_search
 from kernelcast.serialize import (FormatError, dumps, ensemble_to_doc, from_json,
                                   kms_to_doc, load, report_to_doc, save, to_json)
 from synthdata import make_blobs
@@ -478,3 +480,101 @@ def test_an_unknown_inner_model_type_fails_to_save():
     model = dataclasses.replace(kms_fit(cfg, ds, seed=0), inner=object())
     with pytest.raises(FormatError, match="^cannot serialize inner model of type object$"):
         to_json(model)
+
+
+# ------------------------------------------------- mutated documents
+#
+# Every document a user hands the package either loads or fails with a
+# FormatError; a loaded one then predicts failing with nothing but the
+# package's own errors.
+
+@pytest.mark.parametrize("kind", [["kms_model"], {"kms_model": 1}])
+def test_a_kind_that_is_not_a_string_is_unknown(trained, kind):
+    doc = json.loads(to_json(trained[2]))
+    doc["kind"] = kind
+    with pytest.raises(FormatError, match="^unknown document kind "):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("classifier,field", [("gnb", "class_ids"), ("knn", "labels")])
+def test_an_id_too_large_for_an_integer_is_malformed(trained, classifier, field):
+    doc = model_doc(trained[0], classifier)
+    doc["inner"][field][0] = 1e308
+    with pytest.raises(FormatError, match="^kms_model document is malformed: "):
+        from_json(json.dumps(doc))
+
+
+MUTANT_VALUES = [None, True, False, 0, -1, 10 ** 6, 1e308, 1e-320, -0.0, float("nan"), "x", "",
+                 [], [1], {}, {"a": 1}]
+
+
+def value_paths(node, at=()):
+    """Every path into a document; long lists contribute their first three items and the last."""
+    yield at
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(node, dict) or key < 3 or key == len(node) - 1:
+            yield from value_paths(value, (*at, key))
+
+
+def mutated(doc, rng):
+    """A copy of ``doc`` with one key deleted, one list's last item dropped or
+    repeated, or one value replaced from MUTANT_VALUES."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(value_paths(doc))[1:]
+    path = paths[rng.integers(len(paths))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, how = path[-1], rng.integers(3)
+    if how == 0 and isinstance(parent, dict):
+        del parent[key]
+    elif how == 1 and isinstance(parent[key], list) and parent[key]:
+        items = parent[key]
+        if rng.integers(2):
+            items.pop()
+        else:
+            items.append(items[-1])
+    else:
+        parent[key] = MUTANT_VALUES[rng.integers(len(MUTANT_VALUES))]
+    return doc
+
+
+def predict_with(obj, ds, queries):
+    """Predict with a loaded model or ensemble; a report trains a model and a 3-member ensemble."""
+    if isinstance(obj, KmsModel):
+        return pipeline_predict(obj, queries), len(obj.label_names)
+    if not isinstance(obj, Ensemble):
+        kms_fit(obj.best.config, ds, 3)
+        obj = build_ensemble(obj, ds, ell=3, seed=4)
+    return ensemble_predict(obj, queries), len(obj.label_names)
+
+
+def test_mutated_documents_fail_to_load_or_predict_cleanly():
+    ds = make_blobs(n_per_class=12, spread=0.6, gap=3.0, seed=0)
+    report = random_search(ds, sample_size=8, seed=1)
+    docs = [model_doc(ds, "gnb"), json.loads(to_json(kms_fit(
+                Configuration(4, "euclidean", "random", "gaussian", "centers", "knn",
+                              KnnParams(3, "distance", "angle")), ds, 0))),
+            ensemble_to_doc(build_ensemble(report, ds, ell=3, seed=2)), report_to_doc(report)]
+    docs = [json.loads(dumps(doc)) for doc in docs]
+    queries = np.random.default_rng(0).normal(size=(9, ds.dim))
+    rng = np.random.default_rng(5)
+    outcomes = {"format": 0, "domain": 0, "predicted": 0}
+    for _ in range(2500):
+        text = json.dumps(mutated(docs[rng.integers(len(docs))], rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN and overflow in predictions
+            try:
+                obj = from_json(text)
+            except FormatError:
+                outcomes["format"] += 1
+                continue
+            try:
+                predicted, n_classes = predict_with(obj, ds, queries)
+            except KernelcastError:
+                outcomes["domain"] += 1
+                continue
+        assert predicted.min() >= 0 and predicted.max() < n_classes, text
+        outcomes["predicted"] += 1
+    assert outcomes["format"] >= 100 and outcomes["predicted"] >= 100, outcomes
