@@ -88,6 +88,8 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     break toward the lower label id.  A uniform vote counts the labels of
     each row's k nearest as a set, in whatever order ``geometry.nearest``
     finds them; an inverse-distance vote sums over them nearest first.
+    A search calls neither this nor ``knn_fit``: its stages vote through
+    ``knn_vote`` from one ``nearest`` ranking per kernel and kNN distance.
     """
     uniform = model.params.weighting == "uniform"
     order, dists = geometry.nearest(model.params.distance, np.asarray(queries, dtype=np.float64),

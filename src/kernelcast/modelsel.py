@@ -12,6 +12,7 @@ fold, then one balanced error rate call per fold scores them all.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -282,23 +283,23 @@ class Stage:
     """The configurations of one reference stage and the products they share.
 
     ``references`` are the stage's ``stage_references``, or the domain error
-    their sampling raised.  A product is made when the first configuration
-    reaches it.  A domain error raised making it is kept in its place, and
-    raised to each configuration that reaches it, as that one alone would.
+    their sampling raised: its first product.  A product is made when the
+    first configuration reaches it.  A domain error raised making it is kept,
+    without a traceback, and a copy is raised to each configuration reaching it.
+    kNN configurations vote from prefixes of one ranking per fold and (kernel,
+    kNN distance) group, at its largest k, unordered for a lone uniform vote.
     """
 
     def __init__(self, configs: list[Configuration],
                  references: list[ReferenceSet] | errors.KernelcastError):
         self.configs = configs
-        self.references = references
-        ks: dict[tuple[str, str], list[int]] = {}
+        groups: dict[tuple[str, str], list[KnnParams]] = {}
         for cfg in configs:
             if cfg.knn is not None:
-                ks.setdefault((cfg.kernel, cfg.knn.distance), []).append(cfg.knn.neighbors)
-        # A (kernel, kNN distance) group of two or more ranks neighbours once, at
-        # its largest k: the ordered ``nearest`` prefix is the smaller-k result.
-        self.ranked_k = {key: max(k) for key, k in ks.items() if len(k) > 1}
-        self._made = {}
+                groups.setdefault((cfg.kernel, cfg.knn.distance), []).append(cfg.knn)
+        self.ranks = {key: (max(p.neighbors for p in g), len(g) > 1 or g[0].weighting != "uniform")
+                      for key, g in groups.items()}  # nearest's k and ordered, by group
+        self._made = {"references": references}
         self.results = None  # Configuration -> cv_ber, or the domain error that failed it
 
     def product(self, key: tuple, make, *args):
@@ -306,28 +307,24 @@ class Stage:
             try:
                 self._made[key] = make(*args)
             except errors.KernelcastError as exc:
-                self._made[key] = exc.with_traceback(None)  # shared: keep its traceback short
-        made = self._made[key]
-        if isinstance(made, errors.KernelcastError):
-            raise made
-        return made
+                self._made[key] = exc.with_traceback(None)  # kept: its traceback holds this stage
+        return _unkept(self._made[key])
 
     def _predict(self, cfg: Configuration, i: int, fold: PreparedFold,
                  refs: ReferenceSet) -> np.ndarray:
         """``cfg``'s labels for fold ``i``'s held-out rows, meeting the products in its order."""
-        ranked_k = cfg.knn and self.ranked_k.get((cfg.kernel, cfg.knn.distance))
         train = self.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
-        # A ranked group votes from the shared ranking: it reads no fitted kNN.
-        fitted = None if ranked_k else fit_pipeline(cfg, fold, refs, train)
+        fitted = None if cfg.knn else fit_pipeline(cfg, fold, refs, train)  # GNB only
         # The held-out rows, scaled and mapped as pipeline_predict does it.
         scaled = self.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
         dists = self.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)
         held_out = self.product(("held-out", i, cfg.kernel), map_matrix, scaled, refs,
                                 cfg.kernel, dists)
-        if not ranked_k:
+        if fitted is not None:
             return pipeline_predict(fitted, held_out, mapped=True)
         order, near = self.product(("nearest", i, cfg.kernel, cfg.knn.distance), geometry.nearest,
-                                   cfg.knn.distance, held_out, train.features, ranked_k)
+                                   cfg.knn.distance, held_out, train.features,
+                                   *self.ranks[cfg.kernel, cfg.knn.distance])
         k = cfg.knn.neighbors
         return knn_vote(train.labels, order[:, :k],
                         None if cfg.knn.weighting == "uniform" else near[:, :k], train.n_classes)
@@ -339,15 +336,23 @@ class Stage:
         self.results, predicted = {}, {}
         for cfg in self.configs:
             try:
+                references = _unkept(self._made["references"])
                 predicted[cfg] = [self._predict(cfg, i, fold, refs)
-                                  for i, (fold, refs) in enumerate(zip(folds, self.references))]
+                                  for i, (fold, refs) in enumerate(zip(folds, references))]
             except errors.KernelcastError as exc:
-                self.results[cfg] = exc.with_traceback(None)  # kept: keep its traceback short
+                self.results[cfg] = exc.with_traceback(None)  # kept: its traceback holds this stage
         if predicted:
             scores = [balanced_error_rate(fold.held_out.labels, [p[i] for p in predicted.values()],
                                           fold.train.n_classes) for i, fold in enumerate(folds)]
             # Each row of the (configurations, folds) matrix adds as np.mean adds a fold list.
             self.results.update(zip(predicted, np.stack(scores, axis=1).mean(axis=1).tolist()))
+
+
+def _unkept(made):
+    """``made``, or a copy raised if it is a kept domain error: the kept one gets no traceback."""
+    if isinstance(made, errors.KernelcastError):
+        raise copy.copy(made)
+    return made
 
 
 def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
@@ -363,13 +368,9 @@ def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
     error ``cfg`` meets is raised.
     """
     stage = references if isinstance(references, Stage) else Stage([cfg], references)
-    if isinstance(stage.references, errors.KernelcastError):
-        raise stage.references.with_traceback(None)  # shared by the stage: keep its traceback short
     if stage.results is None:
         stage.evaluate(folds)
-    if isinstance(stage.results[cfg], errors.KernelcastError):
-        raise stage.results[cfg]
-    return stage.results[cfg]
+    return _unkept(stage.results[cfg])
 
 
 @dataclass
@@ -435,7 +436,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         try:
             references = stage_references(group[0], folds, seed)
         except errors.KernelcastError as exc:
-            references = exc
+            references = exc.with_traceback(None)  # kept by the stage: its traceback holds it
         stage = Stage(group, references)
         scores = [evaluate(cfg, stage) for cfg in group]
         share = (time.perf_counter() - started) / len(group)  # the stage's time, spread evenly

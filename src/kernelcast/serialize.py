@@ -21,12 +21,12 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .classify import GnbModel, KnnModel, KnnParams
-from .data import ScalerSpec
+from .data import SCALER_KINDS, ScalerSpec
 from .ensemble import Ensemble
 from .errors import KernelcastError
 from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
                        best_entry_index, json_int)
-from .sampling import ReferenceSet, SamplingError
+from .sampling import SAMPLER_KINDS, ReferenceSet, SamplingError
 
 FORMAT_VERSION = 1
 
@@ -245,6 +245,11 @@ def report_to_doc(report: SearchReport) -> dict:
 
 
 def report_from_doc(doc: dict) -> SearchReport:
+    scaler, mode, sampler_filter = doc["scaler"], doc["mode"], doc["sampler_filter"]
+    for name, value, kinds in (("scaler", scaler, SCALER_KINDS), ("mode", mode, ("random", "grid")),
+                               ("sampler_filter", sampler_filter, (None, *SAMPLER_KINDS))):
+        if value not in kinds:
+            raise FormatError(f"search_report field {name!r} must be one of {kinds}, got {value!r}")
     entries = [
         EvalOutcome(Configuration.from_dict(e["config"]), _unscore(e["cv_ber"]),
                     json_int(e["seed"], "seed"), float(e["wall_time"]), e.get("error"))
@@ -254,6 +259,15 @@ def report_from_doc(doc: dict) -> SearchReport:
         raise FormatError("search_report field 'evaluated' is empty")
     if not all(e.cv_ber >= 0.0 for e in entries):  # also rejects NaN
         raise FormatError("search_report field 'cv_ber' must be null or a number >= 0")
+    for i, (entry, e) in enumerate(zip(entries, doc["evaluated"])):
+        if not isinstance(entry.error, (str, type(None))):
+            raise FormatError(f"search_report entry {i} field 'error' must be null or a string")
+        if (e["cv_ber"] is None) != (entry.error is not None):
+            raise FormatError(f"search_report entry {i} field 'cv_ber' must be null "
+                              f"exactly when its 'error' is set")
+        if entry.config.scaler != scaler or sampler_filter not in (None, entry.config.sampler):
+            raise FormatError(f"search_report entry {i} field 'config' must use the report's "
+                              f"scaler and sampler filter")
     best = json_int(doc["best_index"], "best_index")
     if best != best_entry_index(entries):
         raise FormatError(f"best_index {best} is not the first entry with the lowest cv_ber")
@@ -275,7 +289,7 @@ def report_from_doc(doc: dict) -> SearchReport:
         raise FormatError(f"search_report field 'fold_count' {doc['fold_count']} does not "
                           f"match the {present.size} folds of 'fold_of'")
     return SearchReport(entries, best, json_int(doc["master_seed"], "master_seed"),
-                        doc["scaler"], doc["mode"], doc["sampler_filter"], tuple(shape), fold_of)
+                        scaler, mode, sampler_filter, tuple(shape), fold_of)
 
 
 _WRITERS = {

@@ -936,6 +936,14 @@ def test_make_folds_needs_two_folds(fold_count):
         make_folds(ds, fold_count, seed=0)
 
 
+def test_make_folds_skips_a_vocabulary_class_without_rows():
+    # Class "b" names no row: it needs no fold_count rows, and no fold holds it.
+    ds = Dataset(np.arange(6.0)[:, None], np.array([0, 0, 0, 2, 2, 2]), ["a", "b", "c"])
+    fold_of = make_folds(ds, 3, seed=0)
+    for fold in range(3):
+        assert ds.labels[fold_of == fold].tolist() == [0, 2]
+
+
 @pytest.mark.parametrize("fold", [-1, 3])
 def test_split_fold_rejects_a_fold_out_of_range(fold):
     ds = Dataset(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]), ["a", "b"])

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -190,6 +191,18 @@ def test_config_dict_and_digest_match_dataclasses_asdict():
 def test_ber_rejects_length_mismatch():
     with pytest.raises(SearchError):
         balanced_error_rate(np.array([0, 1]), np.array([0]), 2)
+
+
+@pytest.mark.parametrize("truth,predicted,n_classes,message", [
+    ([0, 0], [0, 0], 0, "^n_classes must be at least 1$"),
+    ([0, 0], [[0, 0]], -1, "^n_classes must be at least 1$"),
+    ([0, 2], [0, 1], 2, "^label id out of range$"),
+    ([0, 1], [[0, 1], [-1, 1]], 2, "^label id out of range$"),
+    ([-1, 1], [0, 1], 2, "^label id out of range$"),
+])
+def test_ber_rejects_labels_outside_its_class_count(truth, predicted, n_classes, message):
+    with pytest.raises(SearchError, match=message):
+        balanced_error_rate(truth, predicted, n_classes)
 
 
 # ----------------------------------------------------------------- grid
@@ -576,6 +589,37 @@ def test_failing_stage_fails_every_configuration_with_one_message():
         assert len({e.error for e in entries}) == 1
         assert all(e.cv_ber == float("inf") for e in entries)
     assert any(entries[0].config.k_references == 64 for entries in failed)
+
+
+def stages_alive_after(search):
+    """``Stage`` objects still alive after ``search()``, run with the cyclic collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        search()
+        return sum(isinstance(o, modelsel.Stage) for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
+def test_failing_stages_are_freed_by_reference_counting(monkeypatch):
+    # A kept domain error must not hold a traceback through a frame holding its stage.
+    ds = make_blobs(n_per_class=15, spread=0.6, seed=3)
+    # 20 training rows: the random sampler's 32- and 64-reference stages fail to sample.
+    assert stages_alive_after(lambda: grid_search(ds, sampler_filter="random", threads=1)) == 0
+    mapped = modelsel.map_dataset
+
+    def linear_fails(train, refs, kernel):
+        if kernel == "linear":
+            raise KernelError("injected linear kernel failure")
+        return mapped(train, refs, kernel)
+
+    def search():
+        return random_search(ds, sample_size=200, seed=0, threads=1)
+
+    monkeypatch.setattr(modelsel, "map_dataset", linear_fails)
+    assert stages_alive_after(search) == 0
+    assert "injected linear kernel failure" in {e.error for e in search().entries}
 
 
 def test_kms_fit_shares_references_across_a_stage():

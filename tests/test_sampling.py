@@ -526,6 +526,13 @@ def test_make_reference_set_rejects_oversized_k():
         make_reference_set(ds, "random", 9, "euclidean", "centers", seed=0)
 
 
+def test_make_reference_set_rejects_an_unknown_distance():
+    ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
+    for sampler in ("random", "kmeans"):
+        with pytest.raises(SamplingError, match="^unknown distance 'manhattan'$"):
+            make_reference_set(ds, sampler, 3, "manhattan", "centroids", seed=0)
+
+
 def test_finalize_references_rejects_an_unknown_reference_type():
     ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
     with pytest.raises(SamplingError, match="^unknown reference type 'medoids'$"):

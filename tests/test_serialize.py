@@ -70,6 +70,16 @@ def test_json_is_stable_text(trained):
     assert list(doc) == sorted(doc)
 
 
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, object()])
+def test_dumps_rejects_what_json_cannot_hold_as_json_does(value):
+    doc = {"kind": "x", "rows": [[1.0, 2.0], {"bad": value}]}
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(doc, sort_keys=True, indent=2)
+    with pytest.raises(TypeError, match="is not JSON serializable$") as ours:
+        dumps(doc)
+    assert str(ours.value) == str(stdlib.value)
+
+
 def test_rejects_unknown_kind():
     with pytest.raises(FormatError):
         from_json(json.dumps({"version": 1, "kind": "mystery"}))
@@ -273,9 +283,11 @@ def test_rejects_ensemble_members_of_different_widths(trained):
 
 
 def report_doc(report, cv_bers, best_index):
+    """``report``'s document with these scores: an entry scored None failed, the others did not."""
     doc = json.loads(to_json(report))
     for entry, cv_ber in zip(doc["evaluated"], cv_bers):
         entry["cv_ber"] = cv_ber
+        entry["error"] = "failed" if cv_ber is None else None
     doc["best_index"] = best_index
     return doc
 
@@ -334,6 +346,41 @@ BAD_REPORTS = [
 def test_rejects_report_whose_folds_or_shape_disagree(trained, edit, message):
     doc = json.loads(to_json(trained[1]))
     assert doc["data_shape"] == [40, 2, 2] and doc["fold_count"] == 3
+    edit(doc)
+    with pytest.raises(FormatError, match=message):
+        from_json(json.dumps(doc))
+
+
+# The trained report: random search, scaler "none", no sampler filter; entry 0
+# samples with fft and scores, entry 1 samples with density and failed.
+CONTRADICTIONS = [
+    (setting("unknown_scaler", ("scaler",), "bogus"),
+     r"^search_report field 'scaler' must be one of \('none', .*\), got 'bogus'$"),
+    (setting("integer_mode", ("mode",), 7),
+     r"^search_report field 'mode' must be one of \('random', 'grid'\), got 7$"),
+    (setting("list_sampler_filter", ("sampler_filter",), ["z"]),
+     r"^search_report field 'sampler_filter' must be one of \(None, .*\), got \['z'\]$"),
+    (setting("object_error", ("evaluated", 0, "error"), {"x": 1}),
+     "^search_report entry 0 field 'error' must be null or a string$"),
+    (setting("null_cv_ber_without_error", ("evaluated", 0, "cv_ber"), None),
+     "^search_report entry 0 field 'cv_ber' must be null exactly when its 'error' is set$"),
+    (setting("cv_ber_with_error", ("evaluated", 1, "cv_ber"), 0.5),
+     "^search_report entry 1 field 'cv_ber' must be null exactly when its 'error' is set$"),
+    (setting("other_config_scaler", ("evaluated", 0, "config", "scaler"), "standardize"),
+     "^search_report entry 0 field 'config' must use the report's scaler and sampler filter$"),
+    (setting("sampler_filter_fft", ("sampler_filter",), "fft"),
+     "^search_report entry 1 field 'config' must use the report's scaler and sampler filter$"),
+]
+
+
+@pytest.mark.parametrize("edit,message", CONTRADICTIONS,
+                         ids=[edit.__name__ for edit, _ in CONTRADICTIONS])
+def test_rejects_report_that_contradicts_itself(trained, edit, message):
+    doc = json.loads(to_json(trained[1]))
+    entries = doc["evaluated"]
+    assert (doc["scaler"], doc["mode"], doc["sampler_filter"]) == ("none", "random", None)
+    assert entries[0]["error"] is None and entries[1]["error"] is not None
+    assert [entries[i]["config"]["sampler"] for i in (0, 1)] == ["fft", "density"]
     edit(doc)
     with pytest.raises(FormatError, match=message):
         from_json(json.dumps(doc))
