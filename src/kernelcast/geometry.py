@@ -203,9 +203,12 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
         # need not equal the same rows of the whole product, bit for bit.
         dists = pairwise(kind, q, t)
     else:
-        # Gram squared distances (a.(-2b) + |b|^2) + |a|^2 shortlist the
-        # candidates.  Folding -2 into the training operand is exact but where
-        # a product underflows.  The Gram value and the exact sum of squared
+        # Gram squared distances shortlist the candidates, one product per
+        # query block: rows [a, |a|^2, 1] times the training operand
+        # [-2b; 1; |b|^2] give a.(-2b) + |a|^2 + |b|^2, a sum of d + 2 terms in
+        # whatever order the BLAS kernel takes.  Folding -2 into the training
+        # operand is exact but where a product underflows, and the norms are
+        # multiplied by 1 exactly.  The Gram value and the exact sum of squared
         # differences each lie within gamma_{d+2} (|a| + |b|)^2 of the true
         # squared distance, plus a few subnormal units for underflow, in any
         # summation order: no term passes d + 2 roundings, and the summed
@@ -217,8 +220,11 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
         # over 1 + 4u (u the unit roundoff): its correctly rounded square root
         # is strictly larger than theirs, and it cannot be among the first k,
         # ties by column included.
-        sq_t = np.einsum("ij,ij->i", t, t)
-        tt = -2.0 * t.T
+        tt = np.empty((d + 2, m))
+        np.multiply(t.T, -2.0, out=tt[:d])
+        tt[d] = 1.0
+        sq_t = np.einsum("ij,ij->i", t, t, out=tt[d + 1])
+        ext = np.ones((min(n, step), d + 2))  # rows [a, |a|^2, 1], refilled per block
         top = np.sqrt(sq_t.max())
         gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
     for i in range(0, n, step):
@@ -226,10 +232,10 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
             block = dists[i:i + step]
         else:
             a = q[i:i + step]
-            sq_a = np.einsum("ij,ij->i", a, a)
-            block = a @ tt
-            block += sq_t
-            block += sq_a[:, None]
+            ext_a = ext[:a.shape[0]]
+            ext_a[:, :d] = a
+            ext_a[:, d] = sq_a = np.einsum("ij,ij->i", a, a)
+            block = ext_a @ tt
         cutoff = np.partition(block, k - 1, axis=1)[:, k - 1]
         if kind == "euclidean":
             bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY

@@ -25,7 +25,7 @@ from .data import SCALER_KINDS, ScalerSpec
 from .ensemble import Ensemble
 from .errors import KernelcastError
 from .modelsel import (Configuration, EvalOutcome, KmsModel, SearchReport,
-                       best_entry_index, json_int)
+                       best_entry_index, config_digest, json_int)
 from .sampling import SAMPLER_KINDS, ReferenceSet, SamplingError
 
 FORMAT_VERSION = 1
@@ -244,6 +244,13 @@ def report_to_doc(report: SearchReport) -> dict:
     }
 
 
+def _wall_time(value, i: int) -> float:
+    # A chained comparison is false for NaN, and compares a huge integer exactly.
+    if type(value) not in (int, float) or not 0.0 <= value <= float(np.finfo(np.float64).max):
+        raise FormatError(f"search_report entry {i} field 'wall_time' must be a finite number >= 0")
+    return float(value)
+
+
 def report_from_doc(doc: dict) -> SearchReport:
     scaler, mode, sampler_filter = doc["scaler"], doc["mode"], doc["sampler_filter"]
     for name, value, kinds in (("scaler", scaler, SCALER_KINDS), ("mode", mode, ("random", "grid")),
@@ -252,8 +259,8 @@ def report_from_doc(doc: dict) -> SearchReport:
             raise FormatError(f"search_report field {name!r} must be one of {kinds}, got {value!r}")
     entries = [
         EvalOutcome(Configuration.from_dict(e["config"]), _unscore(e["cv_ber"]),
-                    json_int(e["seed"], "seed"), float(e["wall_time"]), e.get("error"))
-        for e in doc["evaluated"]
+                    json_int(e["seed"], "seed"), _wall_time(e["wall_time"], i), e.get("error"))
+        for i, e in enumerate(doc["evaluated"])
     ]
     if not entries:
         raise FormatError("search_report field 'evaluated' is empty")
@@ -268,6 +275,9 @@ def report_from_doc(doc: dict) -> SearchReport:
         if entry.config.scaler != scaler or sampler_filter not in (None, entry.config.sampler):
             raise FormatError(f"search_report entry {i} field 'config' must use the report's "
                               f"scaler and sampler filter")
+        if entry.seed != config_digest(entry.config):
+            raise FormatError(f"search_report entry {i} field 'seed' must be the digest of "
+                              f"its 'config'")
     best = json_int(doc["best_index"], "best_index")
     if best != best_entry_index(entries):
         raise FormatError(f"best_index {best} is not the first entry with the lowest cv_ber")

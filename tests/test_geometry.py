@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -401,6 +402,101 @@ def test_euclidean_pairwise_gives_the_same_bytes_at_every_block_size(monkeypatch
         for rows in range(1, n + 1):
             monkeypatch.setattr(geometry, "_DIFF_ELEMENTS", m * d * rows)
             assert geometry.pairwise("euclidean", a, b).tobytes() == want
+
+
+# ------------------------------------------- the shortlist's error bound
+
+def exact_ranking(queries, train):
+    """Per query row, every training row by exact squared distance, ties by column."""
+    exact = [[Fraction(x) for x in row] for row in train]
+    ranking = []
+    for a in queries:
+        a = [Fraction(x) for x in a]
+        sq = [sum((x - y) ** 2 for x, y in zip(a, b)) for b in exact]
+        ranking.append(sorted(range(len(train)), key=lambda j: (sq[j], j)))
+    return ranking
+
+
+def tiny_rows(rng, n, m, d, k):
+    # Squares of 1e-161 underflow: Gram values are subnormal or zero, a few
+    # hundred subnormal units apart, so rounding to those units reorders them.
+    scale = rng.choice([1e-160, 1e-161])
+    return scale * rng.normal(size=(n, d)), scale * rng.normal(size=(m, d))
+
+
+def large_rows(rng, n, m, d, k):
+    # squares near 1e301, (|a| + |b|)^2 still finite
+    return 1e150 * rng.normal(size=(n, d)), 1e150 * rng.normal(size=(m, d))
+
+
+def subnormal_rows(rng, n, m, d, k):
+    rows = []
+    for count in (n, m):
+        x = rng.normal(size=(count, d))
+        subnormal = rng.random((count, d)) < 0.5
+        subnormal[rng.random(count) < 0.3] = True  # whole rows of subnormal coordinates
+        x[subnormal] = rng.integers(-60, 61, size=subnormal.sum()) * np.finfo(float).smallest_subnormal
+        rows.append(x)
+    return tuple(rows)
+
+
+def duplicated_rows(rng, n, m, d, k):
+    train = rng.normal(size=(m, d))[rng.integers(0, m, size=m)]
+    queries = rng.normal(size=(n, d))
+    copies = rng.random(n) < 0.5
+    queries[copies] = train[rng.integers(0, m, size=copies.sum())]
+    return queries, train
+
+
+def ulp_ladder_rows(rng, n, m, d, k):
+    """Training rows one ulp apart in distance from query row 0, from the k-th place on.
+
+    Each training row differs from query row 0 in one of a few coordinates, by
+    an offset that stays on those coordinates' grid (multiples of 2^-42 below
+    2^11 in magnitude), so its exact distance is the offset: k - 1 rows lie
+    nearer, the ladder 1024, 1024 + ulp, 1024 + ulp (a tie by column),
+    1024 + 2 ulp, ... starts at the k-th place, and the rest lie farther.  The
+    query's other coordinates are large, so the Gram values' rounding is far
+    larger than the ladder's steps.
+    """
+    grid = 2.0 ** -42  # the ulp of 1024
+    queries = 1e5 * rng.normal(size=(n, d))
+    axes = rng.choice(d, size=int(rng.integers(1, min(d, 3) + 1)), replace=False)
+    queries[:, axes] = np.round(rng.uniform(-1000.0, 1000.0, size=(n, axes.size)) / grid) * grid
+    ladder = 1024.0 + grid * np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    offsets = np.concatenate([rng.integers(100, 1000, size=k - 1), ladder,
+                              rng.integers(1025, 1048, size=m)])[:m]
+    train = np.repeat(queries[:1], m, axis=0)
+    signs = rng.choice([-1.0, 1.0], size=m)
+    train[np.arange(m), rng.choice(axes, size=m)] += signs * offsets[rng.permutation(m)]
+    return queries, train
+
+
+BOUND_INPUTS = [tiny_rows, large_rows, subnormal_rows, duplicated_rows, ulp_ladder_rows]
+
+
+@pytest.mark.parametrize("make", BOUND_INPUTS, ids=lambda f: f.__name__)
+def test_shortlists_hold_the_exact_first_k(monkeypatch, make):
+    # Every training row among the first k by exact squared distance, ties by
+    # column, is a candidate of its query row: at the default block size and
+    # at three query rows per block, whose last block is often partial.
+    rng = np.random.default_rng(41)
+    default, partial = geometry._BLOCK_ELEMENTS, 0
+    for _ in range(12):
+        n, m, d = (int(x) for x in rng.integers(1, [21, 21, 13]))
+        for k in sorted({1, int(rng.integers(1, m + 1)), m}):
+            queries, train = make(rng, n, m, d, k)
+            ranking = exact_ranking(queries, train)
+            for elements in (default, m * (d + 8) * 3):
+                monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+                seen = 0
+                for rows, cols, _ in geometry._shortlists("euclidean", queries, train, k):
+                    for i, kept in zip(range(n)[rows], cols):
+                        assert set(ranking[i][:k]) <= set(kept.tolist()), (i, k)
+                        seen += 1
+                    partial += rows.start > 0 and rows.stop > n  # a partial block after a full one
+                assert seen == n
+    assert partial > 0
 
 
 # ------------------------------------------------------ transient memory

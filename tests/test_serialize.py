@@ -316,6 +316,31 @@ def test_rejects_report_whose_best_index_is_not_the_best_entry(trained, best_ind
         from_json(json.dumps(doc))
 
 
+FORGED_ENTRIES = [
+    ("wall_time", "nan", "field 'wall_time' must be a finite number >= 0"),
+    ("wall_time", True, "field 'wall_time' must be a finite number >= 0"),
+    ("wall_time", -1.0, "field 'wall_time' must be a finite number >= 0"),
+    ("wall_time", float("inf"), "field 'wall_time' must be a finite number >= 0"),
+    ("wall_time", None, "field 'wall_time' must be a finite number >= 0"),
+    ("wall_time", 10 ** 400, "field 'wall_time' must be a finite number >= 0"),
+    ("seed", 12345, "field 'seed' must be the digest of its 'config'"),
+    ("seed", "entry 0", "field 'seed' must be the digest of its 'config'"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", FORGED_ENTRIES,
+                         ids=[f"{field}={value!r:.12}" for field, value, _ in FORGED_ENTRIES])
+def test_rejects_report_entry_with_forged_wall_time_or_seed(trained, field, value, message):
+    doc = json.loads(to_json(trained[1]))
+    doc["evaluated"][3]["wall_time"] = 2  # any finite JSON number >= 0 loads
+    assert from_json(json.dumps(doc)).entries[3].wall_time == 2.0
+    if value == "entry 0":  # the digest of another entry's configuration
+        value = doc["evaluated"][0]["seed"]
+    doc["evaluated"][3][field] = value
+    with pytest.raises(FormatError, match=f"^search_report entry 3 {message}$"):
+        from_json(json.dumps(doc))
+
+
 def relabel_fold(old, new):
     def edit(doc):
         doc["fold_of"] = [new if f == old else f for f in doc["fold_of"]]
