@@ -12,7 +12,7 @@ from .data import (Dataset, ScalerSpec, apply_scaler, fit_scaler, load_csv,
                    make_folds, split_fold, stratified_split)
 from .ensemble import (ConsensusCurve, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
-from .geometry import pairwise
+from .geometry import TrainingGeometry, pairwise
 from .kernelmap import map_dataset
 from .modelsel import (Configuration, KmsModel, SearchReport,
                        balanced_error_rate, enumerate_grid, evaluate_config,
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "KmsModel",
-    "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "apply_scaler",
-    "balanced_error_rate", "build_ensemble", "consensus_curve",
+    "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "TrainingGeometry",
+    "apply_scaler", "balanced_error_rate", "build_ensemble", "consensus_curve",
     "ensemble_predict", "enumerate_grid", "evaluate_config",
     "finalize_references", "fit_pipeline", "fit_scaler", "grid_search",
     "kms_fit", "kms_predict", "load_csv", "make_folds", "make_reference_set",

@@ -201,10 +201,14 @@ def _load_manifest(path) -> list[dict]:
     datasets = doc.get("datasets") if isinstance(doc, dict) else None
     if not isinstance(datasets, list) or not datasets:
         raise CliError(f"{path}: manifest must contain a non-empty 'datasets' list")
+    names = set()  # the ranks are kept by dataset name
     for entry in datasets:
         splits = entry.get("splits") if isinstance(entry, dict) else None
         if not isinstance(splits, list) or not splits or not isinstance(entry.get("name"), str):
             raise CliError(f"{path}: every manifest dataset needs a name and a non-empty 'splits' list")
+        if entry["name"] in names:
+            raise CliError(f"{path}: manifest names dataset {entry['name']!r} more than once")
+        names.add(entry["name"])
         for split in splits:
             if not (isinstance(split, dict) and all(isinstance(split.get(key), str) for key in ("train", "test"))):
                 raise CliError(f"{path}: every split needs 'train' and 'test' file paths")

@@ -270,12 +270,13 @@ def nearest(kind: str, queries, train, k: int,
     k = min(k, t.shape[0])
     order = np.empty((q.shape[0], k), dtype=np.intp)
     dists = np.empty(order.shape)
-    # Padding cells point at an all-NaN row, so their distance is NaN.
-    padded = np.concatenate([t, np.full((1, t.shape[1]), np.nan)])
+    padded = None  # t and an all-NaN row for padding cells, made when a block first needs it
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols, vals in _shortlists(kind, q, t, k):
             if ordered or cols.shape[1] > k:
                 if vals is None:  # by _euclidean_matrix's subtraction
+                    if padded is None:
+                        padded = np.concatenate([t, np.full((1, t.shape[1]), np.nan)])
                     vals = padded[cols]
                     vals = _diff_norms(np.subtract(q[rows, None, :], vals, out=vals))
                 cols, dists[rows] = _first_k(cols, vals, k)

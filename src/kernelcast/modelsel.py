@@ -239,8 +239,8 @@ def prepare_folds(ds: Dataset, fold_of: np.ndarray, scaler: str) -> list[Prepare
 
 def sample_references(cfg: Configuration, fold: PreparedFold, seed: int) -> ReferenceSet:
     """The references of ``cfg``'s stage on one prepared fold, sampled with ``seed``."""
-    return make_reference_set(fold.train, cfg.sampler, cfg.k_references, cfg.sampling_distance,
-                              cfg.ref_type, seed, fold.geometry)
+    return make_reference_set(fold.geometry, cfg.sampler, cfg.k_references, cfg.sampling_distance,
+                              cfg.ref_type, seed)
 
 
 def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet,
@@ -417,8 +417,7 @@ def best_entry_index(entries: list[EvalOutcome]) -> int:
 
 
 def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed: int,
-                scaler: str, mode: str, sampler_filter: str | None,
-                threads: int | None) -> SearchReport:
+                scaler: str, mode: str, sampler_filter: str | None) -> SearchReport:
     fold_of = make_folds(ds, fold_count, seed)
     # Forked workers inherit the folds and fill their geometry copy-on-write.
     folds = prepare_folds(ds, fold_of, scaler)
@@ -448,7 +447,7 @@ def _run_search(ds: Dataset, configs: list[Configuration], fold_count: int, seed
         stages.setdefault(stage_digest(cfg), []).append(i)
     groups = list(stages.values())
     entries = [None] * len(configs)
-    for positions, outcomes in zip(groups, parallel.map_indexed(evaluate_stage, groups, threads)):
+    for positions, outcomes in zip(groups, parallel.map_indexed(evaluate_stage, groups)):
         for i, outcome in zip(positions, outcomes):
             entries[i] = outcome
     best = best_entry_index(entries)
@@ -470,8 +469,7 @@ def _candidate_grid(scaler: str, sampler_filter: str | None) -> list[tuple]:
 
 def random_search(ds: Dataset, sample_size: int = DEFAULT_SAMPLE_SIZE,
                   fold_count: int = DEFAULT_FOLD_COUNT, seed: int = 0,
-                  sampler_filter: str | None = None, scaler: str = "none",
-                  threads: int | None = None) -> SearchReport:
+                  sampler_filter: str | None = None, scaler: str = "none") -> SearchReport:
     """Evaluate a uniform without-replacement sample of the grid.
 
     A sample size at or above the grid size evaluates the full grid in
@@ -485,15 +483,14 @@ def random_search(ds: Dataset, sample_size: int = DEFAULT_SAMPLE_SIZE,
         rng = rand.derive(seed, rand.SEARCH)
         grid = [grid[int(i)] for i in rng.choice(len(grid), size=sample_size, replace=False)]
     chosen = [Configuration(*fields) for fields in grid]
-    return _run_search(ds, chosen, fold_count, seed, scaler, "random", sampler_filter, threads)
+    return _run_search(ds, chosen, fold_count, seed, scaler, "random", sampler_filter)
 
 
 def grid_search(ds: Dataset, fold_count: int = DEFAULT_FOLD_COUNT, seed: int = 0,
-                sampler_filter: str | None = None, scaler: str = "none",
-                threads: int | None = None) -> SearchReport:
+                sampler_filter: str | None = None, scaler: str = "none") -> SearchReport:
     """Evaluate every configuration of the (possibly filtered) grid."""
     grid = [Configuration(*fields) for fields in _candidate_grid(scaler, sampler_filter)]
-    return _run_search(ds, grid, fold_count, seed, scaler, "grid", sampler_filter, threads)
+    return _run_search(ds, grid, fold_count, seed, scaler, "grid", sampler_filter)
 
 
 def kms_fit(cfg: Configuration, ds: Dataset, seed: int,

@@ -1,15 +1,16 @@
 """Bounded pool of forked processes honoring the KERNELCAST_THREADS cap.
 
-KERNELCAST_THREADS limits how many processes, the caller among them,
-evaluate items at once (0 means one per CPU; unset means sequential); the
-count is capped at the CPU count and at the number of items.  The search's
-items are its reference stages, so no two processes sample the same stage.
-Items are cut into contiguous chunks whose numbers wait in a pipe; the
-caller and its forked workers take chunks until it is empty, and results
-are joined in input order, so schedules never change outputs.  Where
-os.fork is unavailable the items run sequentially.  On Linux a worker dies
-with its parent, so killing a search never leaves workers behind.  Every
-process runs one thread of numpy's bundled OpenBLAS while the map lasts.
+KERNELCAST_THREADS, read at each map and never overridden by an argument,
+limits how many processes, the caller among them, evaluate items at once
+(0 means one per CPU; unset means sequential), capped at the CPU count and
+at the number of items.  The search's items are its reference stages, so
+no two processes sample the same stage.  Items are cut into contiguous
+chunks whose numbers wait in a pipe; the caller and its forked workers take
+chunks until it is empty, and results are joined in input order, so
+schedules never change outputs.  Where os.fork is unavailable the items run
+sequentially.  On Linux a worker dies with its parent, so killing a search
+never leaves workers behind.  Every process runs one thread of numpy's
+bundled OpenBLAS while the map lasts.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ CHUNKS_PER_WORKER = 4
 _PR_SET_PDEATHSIG = 1  # prctl option from <sys/prctl.h>
 
 
-def thread_limit(explicit: int | None = None, n_items: int | None = None) -> int:
-    """Process count: the explicit or KERNELCAST_THREADS value, capped at the
-    CPU count and, when given, at the number of items."""
-    if explicit is None:
-        raw = os.environ.get(ENV_VAR, "").strip()
-        if raw and not raw.isdecimal():
-            raise KernelcastError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
-        explicit = int(raw) if raw else 1
+def thread_limit(n_items: int | None = None) -> int:
+    """Process count: the KERNELCAST_THREADS value, read at each call, capped
+    at the CPU count and, when given, at the number of items."""
+    raw = os.environ.get(ENV_VAR, "").strip()
+    if raw and not raw.isdecimal():
+        raise KernelcastError(f"{ENV_VAR} must be a non-negative integer, got {raw!r}")
     cpus = os.cpu_count() or 1
-    limit = cpus if explicit == 0 else min(explicit, cpus)
+    limit = min(int(raw or 1) or cpus, cpus)  # 0 means one per CPU
     if n_items is not None:
         limit = min(limit, n_items)
     return max(1, limit)
@@ -96,13 +95,13 @@ def _work(run, queue: int, out: int, parent: int) -> None:
         os._exit(1)
 
 
-def map_indexed(fn, items, threads: int | None = None) -> list:
+def map_indexed(fn, items) -> list:
     """Apply ``fn`` to every item, returning results in input order.
 
     A worker's exception re-raises here, its cause holding the worker's
     traceback; a worker that exits without a result raises ChildProcessError.
     """
-    limit = thread_limit(threads, len(items))
+    limit = thread_limit(len(items))
     if limit == 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
     chunks = min(len(items), CHUNKS_PER_WORKER * limit)

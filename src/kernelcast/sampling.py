@@ -3,9 +3,9 @@
 Four strategies pick k reference points from a training set: uniform random
 rows, k-means centroids, density-net removal, and farthest-first traversal.
 Each reference also gets a scale sigma_c used later by the kernel transforms.
-Functions that measure distances among training rows take an optional
-``geo``, a geometry.TrainingGeometry of those rows, so that samplers fitted
-on the same rows share them; one is built when not given.
+Every sampler takes its training rows as one geometry.TrainingGeometry, whose
+``features`` are the rows, so that samplers fitted on the same rows share
+the distances among them.
 """
 
 from __future__ import annotations
@@ -74,18 +74,21 @@ class ReferenceSet:
         return self.refs.shape[1]
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, geo) -> int:
+    """Check that k references can be picked from the rows of ``geo``; return their count."""
+    n = len(geo.features)
     if k < 1:
         raise SamplingError("k must be at least 1")
     if k > n:
         raise SamplingError(f"cannot pick {k} references from {n} rows")
+    return n
 
 
-def sample_random(ds, k: int, seed: int) -> list[int]:
+def sample_random(geo, k: int, seed: int) -> list[int]:
     """Pick k distinct row indices uniformly at random."""
-    _check_k(k, ds.n)
+    n = _check_k(k, geo)
     rng = rand.derive(seed, rand.SAMPLER)
-    return [int(i) for i in rng.choice(ds.n, size=k, replace=False)]
+    return [int(i) for i in rng.choice(n, size=k, replace=False)]
 
 
 def _kmeanspp_seed(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,22 +143,17 @@ def lloyd(features: np.ndarray, k: int,
     return centroids, assign, history
 
 
-def sample_kmeans(ds, k: int, seed: int) -> ReferenceSet:
+def sample_kmeans(geo, k: int, seed: int) -> ReferenceSet:
     """References are the centroids of a k-means run (euclidean only)."""
-    _check_k(k, ds.n)
+    _check_k(k, geo)
     rng = rand.derive(seed, rand.SAMPLER)
-    centroids, _, _ = lloyd(ds.features, k, rng)
-    dists = geometry.pairwise("euclidean", ds.features, centroids)
+    centroids, _, _ = lloyd(geo.features, k, rng)
+    dists = geometry.pairwise("euclidean", geo.features, centroids)
     return ReferenceSet(centroids, _sigmas(dists), "kmeans", "euclidean", "centroids",
-                        ds.features, dists)
+                        geo.features, dists)
 
 
-def _geometry(features, geo):
-    return geometry.TrainingGeometry(features) if geo is None else geo
-
-
-def sample_density(ds, k: int, dist: str, seed: int,
-                   geo=None) -> tuple[list[int], np.ndarray]:
+def sample_density(geo, k: int, dist: str, seed: int) -> tuple[list[int], np.ndarray]:
     """Density-net sampling by batch removal.
 
     With region size l = ceil(n / k), repeatedly pick a random remaining row,
@@ -164,9 +162,7 @@ def sample_density(ds, k: int, dist: str, seed: int,
     than k; each removal batch is that center's region.  Returns the centers
     and each row's center ordinal.
     """
-    _check_k(k, ds.n)
-    n = ds.n
-    geo = _geometry(ds.features, geo)
+    n = _check_k(k, geo)
     region_size = math.ceil(n / k)
     rng = rand.derive(seed, rand.SAMPLER)
     alive = np.ones(n, dtype=bool)
@@ -189,16 +185,14 @@ def sample_density(ds, k: int, dist: str, seed: int,
     return centers, region_of
 
 
-def fft_traverse(features: np.ndarray, k: int, dist: str, first: int,
-                 geo=None) -> tuple[list[int], list[float]]:
+def fft_traverse(geo, k: int, dist: str, first: int) -> tuple[list[int], list[float]]:
     """Farthest-first traversal from a given start row.
 
     Returns the picked row indices and the selection radii: radii[i] is the
     min-distance-to-chosen of the (i+2)-th pick at the moment it was chosen.
     The radii sequence is non-increasing.
     """
-    geo = _geometry(features, geo)
-    n = geo.features.shape[0]
+    n = len(geo.features)
     centers = [int(first)]
     picked = np.zeros(n, dtype=bool)
     picked[first] = True
@@ -214,17 +208,16 @@ def fft_traverse(features: np.ndarray, k: int, dist: str, first: int,
     return centers, radii
 
 
-def sample_fft(ds, k: int, dist: str, seed: int,
-               geo=None) -> tuple[list[int], float | None]:
+def sample_fft(geo, k: int, dist: str, seed: int) -> tuple[list[int], float | None]:
     """Farthest-first traversal from a random start.
 
     Returns the picked indices and the last selection radius r (None when
     k = 1).  The picked set is r-separated and covers the dataset within r.
     """
-    _check_k(k, ds.n)
+    n = _check_k(k, geo)
     rng = rand.derive(seed, rand.SAMPLER)
-    first = int(rng.integers(ds.n))
-    centers, radii = fft_traverse(ds.features, k, dist, first, geo)
+    first = int(rng.integers(n))
+    centers, radii = fft_traverse(geo, k, dist, first)
     return centers, (radii[-1] if radii else None)
 
 
@@ -263,8 +256,8 @@ def _sigmas(dists: np.ndarray) -> np.ndarray:
     return np.where(sigmas > 0.0, sigmas, fill)
 
 
-def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
-                        sampler: str, geo=None) -> ReferenceSet:
+def finalize_references(geo, picked: list[int], ref_type: str, dist: str,
+                        sampler: str) -> ReferenceSet:
     """Turn picked row indices into a ReferenceSet with per-reference scales.
 
     With ref_type "centroids" each picked row is replaced by the centroid of
@@ -276,18 +269,18 @@ def finalize_references(ds, picked: list[int], ref_type: str, dist: str,
     if ref_type not in REF_TYPES:
         raise SamplingError(f"unknown reference type {ref_type!r}")
     picked = np.asarray(picked, dtype=np.int64)
-    refs = ds.features[picked]
-    dists = _geometry(ds.features, geo).distances(dist, None, picked)
+    refs = geo.features[picked]
+    dists = geo.distances(dist, None, picked)
     if ref_type == "centroids":
-        refs = _region_means(ds.features, np.argmin(dists, axis=1), refs)[0]
-        dists = geometry.pairwise(dist, ds.features, refs)
+        refs = _region_means(geo.features, np.argmin(dists, axis=1), refs)[0]
+        dists = geometry.pairwise(dist, geo.features, refs)
     # Euclidean centers come as a transposed view; layout orders later sums.
-    return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type, ds.features,
+    return ReferenceSet(refs, _sigmas(dists), sampler, dist, ref_type, geo.features,
                         np.ascontiguousarray(dists))
 
 
-def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
-                       seed: int, geo=None) -> ReferenceSet:
+def make_reference_set(geo, sampler: str, k: int, dist: str, ref_type: str,
+                       seed: int) -> ReferenceSet:
     """Run one sampler end to end and return its ReferenceSet.
 
     k-means only supports euclidean distance and centroid references.
@@ -299,12 +292,11 @@ def make_reference_set(ds, sampler: str, k: int, dist: str, ref_type: str,
     if sampler == "kmeans":
         if dist != "euclidean" or ref_type != "centroids":
             raise SamplingError("kmeans sampling requires euclidean distance and centroid references")
-        return sample_kmeans(ds, k, seed)
-    geo = _geometry(ds.features, geo)
+        return sample_kmeans(geo, k, seed)
     if sampler == "random":
-        picked = sample_random(ds, k, seed)
+        picked = sample_random(geo, k, seed)
     elif sampler == "density":
-        picked, _ = sample_density(ds, k, dist, seed, geo)
+        picked, _ = sample_density(geo, k, dist, seed)
     else:
-        picked, _ = sample_fft(ds, k, dist, seed, geo)
-    return finalize_references(ds, picked, ref_type, dist, sampler, geo)
+        picked, _ = sample_fft(geo, k, dist, seed)
+    return finalize_references(geo, picked, ref_type, dist, sampler)

@@ -187,13 +187,21 @@ def _check_model(model: KmsModel) -> None:
         raise FormatError("inner.priors must be <= 1")
 
 
+def _label_names(value) -> list[str]:
+    """``value`` if it is a list of distinct strings; else a TypeError naming the field."""
+    strings = type(value) is list and all(type(name) is str for name in value)
+    if not strings or len(set(value)) != len(value):
+        raise TypeError(f"field 'label_names' must be a list of distinct strings, got {value!r}")
+    return value
+
+
 def kms_from_doc(doc: dict) -> KmsModel:
     cv = doc.get("cv_ber")
     model = KmsModel(Configuration.from_dict(doc["config"]),
                      scaler_from_doc(doc["scaler"]),
                      refs_from_doc(doc["references"]),
                      _inner_from_doc(doc["inner"]),
-                     list(doc["label_names"]),
+                     _label_names(doc["label_names"]),
                      None if cv is None else float(cv))
     _check_model(model)
     return model
@@ -216,7 +224,10 @@ def ensemble_from_doc(doc: dict) -> Ensemble:
         if member.scaler.offset.shape != members[0].scaler.offset.shape:
             raise FormatError(f"ensemble member {i} takes {member.scaler.offset.shape[0]} features, "
                               f"member 0 takes {members[0].scaler.offset.shape[0]}")
-    return Ensemble(members, json_int(doc["vote_seed"], "vote_seed"))
+    vote_seed = json_int(doc["vote_seed"], "vote_seed")
+    if vote_seed < 0:  # rand.derive takes non-negative seeds only
+        raise FormatError(f"field 'vote_seed' must be a non-negative integer, got {vote_seed}")
+    return Ensemble(members, vote_seed)
 
 
 def report_to_doc(report: SearchReport) -> dict:

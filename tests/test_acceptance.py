@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcast import rand
+from kernelcast import parallel, rand
 from kernelcast.classify import gnb_fit, gnb_predict, knn_fit, knn_predict
 from kernelcast.data import Dataset, load_csv
 from kernelcast.ensemble import (Ensemble, build_ensemble, discordance_ratio,
                                  ensemble_predict)
-from kernelcast.geometry import pairwise
+from kernelcast.geometry import TrainingGeometry, pairwise
 from kernelcast.modelsel import (KnnParams, balanced_error_rate,
                                  config_digest, enumerate_grid, grid_search,
                                  kms_fit, kms_predict, random_search)
@@ -66,7 +66,7 @@ def test_criterion_2_fft_delone_properties(announce):
         if dist == "angle":
             ds = type(ds)(ds.features + 3.0, ds.labels, ds.label_names)
         k = int(rng.integers(2, min(n, 15) + 1))
-        centers, radius = sample_fft(ds, k, dist, seed=trial)
+        centers, radius = sample_fft(TrainingGeometry(ds.features), k, dist, seed=trial)
         pts = ds.features[centers]
         sep = pairwise(dist, pts, pts)
         min_sep = sep[~np.eye(k, dtype=bool)].min()
@@ -246,11 +246,17 @@ def _scrubbed(report):
     return json.dumps(doc, sort_keys=True)
 
 
-def test_criterion_9_byte_identical_reruns(announce):
+def test_criterion_9_byte_identical_reruns(announce, monkeypatch):
     ds = make_blobs(n_per_class=25, spread=0.7, gap=3.0, seed=8)
-    runs = [random_search(ds, sample_size=25, fold_count=3, seed=9,
-                          threads=threads)
-            for threads in (None, 1, 4, os.cpu_count())]
+
+    def search(threads):
+        if threads is None:
+            monkeypatch.delenv(parallel.ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(parallel.ENV_VAR, str(threads))
+        return random_search(ds, sample_size=25, fold_count=3, seed=9)
+
+    runs = [search(threads) for threads in (None, 1, 4, os.cpu_count())]
     reports_equal = len({_scrubbed(r) for r in runs}) == 1
     models = [to_json(build_ensemble(r, ds, ell=3, seed=10)) for r in runs[:2]]
     models_equal = models[0] == models[1]

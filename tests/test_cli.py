@@ -443,9 +443,14 @@ def _manifest_with(field):
     (_manifest_with('"label_col": 1.7'), "a dataset's 'label_col' must be an integer"),
     (_manifest_with('"label_col": true'), "a dataset's 'label_col' must be an integer"),
     (_manifest_with('"label_col": "2"'), "a dataset's 'label_col' must be an integer"),
+    # ranks are kept by name, so a second "d" would overwrite the first one's
+    ('{"datasets": [{"name": "d", "splits": [{"train": "a.csv", "test": "b.csv"}]}, '
+     '{"name": "e", "splits": [{"train": "a.csv", "test": "b.csv"}]}, '
+     '{"name": "d", "splits": [{"train": "c.csv", "test": "d.csv"}]}]}',
+     "manifest names dataset 'd' more than once"),
 ], ids=["not-json", "list", "no-datasets", "string-dataset", "no-name", "string-splits",
         "string-split", "no-test", "list-train", "string-header", "int-header",
-        "float-label-col", "bool-label-col", "string-label-col"])
+        "float-label-col", "bool-label-col", "string-label-col", "repeated-name"])
 def test_benchmark_rejects_a_malformed_manifest_naming_it(tmp_path, capsys, text, message):
     mpath = tmp_path / "manifest.json"
     mpath.write_text(text)

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from kernelcast import parallel
 from kernelcast.data import SCALER_KINDS, Dataset
 from kernelcast.modelsel import random_search
 from kernelcast.serialize import from_json, to_json
@@ -58,11 +59,11 @@ CASES = [duplicate_rows, constant_columns, class_of_fold_count,
          k_above_fold_size, zero_vectors_under_angle]
 
 
-def search(ds, scaler, seed, threads):
+def search(ds, scaler, seed):
     """(report, its JSON with wall_time scrubbed), or (None, the domain error)."""
     try:
         report = random_search(ds, sample_size=BUDGET, fold_count=FOLDS,
-                               seed=seed, scaler=scaler, threads=threads)
+                               seed=seed, scaler=scaler)
     except ValueError as exc:  # anything else fails the test
         return None, f"{type(exc).__name__}: {exc}"
     text = to_json(report)
@@ -78,12 +79,14 @@ def uses_angle(cfg):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
-def test_search_edge_case(case):
+def test_search_edge_case(case, monkeypatch):
     features, labels = case()
     ds = Dataset(features, labels, ["a", "b"])
     for seed, scaler in enumerate(SCALER_KINDS):
-        report, sequential = search(ds, scaler, seed, threads=1)
-        assert search(ds, scaler, seed, threads=2)[1] == sequential
+        monkeypatch.setenv(parallel.ENV_VAR, "1")
+        report, sequential = search(ds, scaler, seed)
+        monkeypatch.setenv(parallel.ENV_VAR, "2")
+        assert search(ds, scaler, seed)[1] == sequential
         if case is zero_vectors_under_angle:
             assert any(np.isfinite(e.cv_ber) and uses_angle(e.config)
                        for e in report.entries)

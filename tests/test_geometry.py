@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kernelcast import geometry
-from kernelcast.data import Dataset
 from kernelcast.errors import KernelcastError
 from kernelcast.sampling import finalize_references
+from spies import CallSpy
 
 
 def pair_distance(kind, x, c):
@@ -112,8 +112,8 @@ def test_unknown_kind_rejected():
 
 def voronoi_centroids(points, picked):
     """Centroid references: each picked row becomes the mean of its Voronoi region."""
-    ds = Dataset(np.asarray(points, dtype=float), np.zeros(len(points), dtype=int), ["a"])
-    return finalize_references(ds, picked, "centroids", "euclidean", "random").refs
+    geo = geometry.TrainingGeometry(np.asarray(points, dtype=float))
+    return finalize_references(geo, picked, "centroids", "euclidean", "random").refs
 
 
 def test_nearest_reference_basic():
@@ -349,6 +349,23 @@ def test_nearest_over_small_blocks_of_mixed_kept_widths(monkeypatch, kind):
     # both the padded and the uniform-width packing ran, on blocks exactly k wide and wider
     widths, wide = zip(*kept)
     assert 1 in widths and max(widths) > 1 and any(wide) and not all(wide)
+
+
+def test_nearest_copies_the_training_rows_only_for_an_exact_rerank(monkeypatch):
+    # Only an exact euclidean re-rank reads the NaN-padded copy of the training
+    # rows: angle calls, and unordered blocks exactly k wide, never make it.
+    rng = np.random.default_rng(31)
+    queries, train = rng.normal(size=(40, 5)), rng.normal(size=(30, 5))
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 30 * (5 + 8) * 4)  # ten blocks a call
+    for kind, ordered, copies in [("angle", True, 0), ("angle", False, 0),
+                                  ("euclidean", False, 0), ("euclidean", True, 1)]:
+        spy = CallSpy("concatenate")
+        monkeypatch.setattr(geometry, "np", spy)
+        order, _ = geometry.nearest(kind, queries, train, 3, ordered)
+        assert spy.calls == copies, (kind, ordered)  # one copy per call, kept for every block
+        want = np.argsort(geometry.pairwise(kind, queries, train), axis=1, kind="stable")[:, :3]
+        assert np.array_equal(order if ordered else np.sort(order, axis=1),
+                              want if ordered else np.sort(want, axis=1))
 
 
 # ------------------------------------------------------ block boundaries

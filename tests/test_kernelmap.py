@@ -150,8 +150,8 @@ SAMPLER_CASES = [(sampler, dist, ref_type)
 @pytest.mark.parametrize("sampler,dist,ref_type", SAMPLER_CASES)
 def test_fitted_rows_map_with_the_samplers_distances(monkeypatch, sampler, dist, ref_type):
     ds = random_dataset(np.random.default_rng(4), 60, 3)
-    refs = make_reference_set(ds, sampler, 7, dist, ref_type, 2,
-                              geometry.TrainingGeometry(ds.features))
+    refs = make_reference_set(geometry.TrainingGeometry(ds.features), sampler, 7, dist,
+                              ref_type, 2)
     fresh = geometry.pairwise(dist, ds.features, refs.refs)
     calls = []
     pairwise = geometry.pairwise

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kernelcast import geometry, kernelmap, modelsel, rand
+from kernelcast import geometry, kernelmap, modelsel, parallel, rand
 from kernelcast.classify import ClassifierError, KnnParams
 from kernelcast.data import SCALER_KINDS, Dataset, make_folds
 from kernelcast.errors import KernelcastError
@@ -364,10 +364,12 @@ def test_search_is_deterministic():
     assert [e.cv_ber for e in a.entries] == [e.cv_ber for e in b.entries]
 
 
-def test_search_threads_do_not_change_results():
+def test_search_threads_do_not_change_results(monkeypatch):
     ds = make_blobs(n_per_class=25, spread=0.4, seed=3)
-    seq = random_search(ds, sample_size=10, seed=7, threads=1)
-    par = random_search(ds, sample_size=10, seed=7, threads=4)
+    monkeypatch.setenv(parallel.ENV_VAR, "1")
+    seq = random_search(ds, sample_size=10, seed=7)
+    monkeypatch.setenv(parallel.ENV_VAR, "4")
+    par = random_search(ds, sample_size=10, seed=7)
     assert [e.cv_ber for e in seq.entries] == [e.cv_ber for e in par.entries]
     assert seq.best_index == par.best_index
 
@@ -434,9 +436,10 @@ def test_programming_errors_propagate_out_of_search(monkeypatch):
             (raise_type_error, TypeError, "simulated bug"),
             (add_misshapen_arrays, ValueError, r"could not be broadcast together with shapes \(10,\) \(11,\)")]:
         monkeypatch.setattr(modelsel, "map_dataset", broken)
-        for threads in (None, 2):
+        for threads in ("1", "2"):
+            monkeypatch.setenv(parallel.ENV_VAR, threads)
             with pytest.raises(error, match=message) as failure:
-                random_search(ds, sample_size=4, seed=0, threads=threads)
+                random_search(ds, sample_size=4, seed=0)
             assert not isinstance(failure.value, KernelcastError)
     assert_no_child_process()
 
@@ -605,8 +608,9 @@ def stages_alive_after(search):
 def test_failing_stages_are_freed_by_reference_counting(monkeypatch):
     # A kept domain error must not hold a traceback through a frame holding its stage.
     ds = make_blobs(n_per_class=15, spread=0.6, seed=3)
+    monkeypatch.setenv(parallel.ENV_VAR, "1")
     # 20 training rows: the random sampler's 32- and 64-reference stages fail to sample.
-    assert stages_alive_after(lambda: grid_search(ds, sampler_filter="random", threads=1)) == 0
+    assert stages_alive_after(lambda: grid_search(ds, sampler_filter="random")) == 0
     mapped = modelsel.map_dataset
 
     def linear_fails(train, refs, kernel):
@@ -615,7 +619,7 @@ def test_failing_stages_are_freed_by_reference_counting(monkeypatch):
         return mapped(train, refs, kernel)
 
     def search():
-        return random_search(ds, sample_size=200, seed=0, threads=1)
+        return random_search(ds, sample_size=200, seed=0)
 
     monkeypatch.setattr(modelsel, "map_dataset", linear_fails)
     assert stages_alive_after(search) == 0
@@ -755,7 +759,7 @@ def fuzz_datasets():
         yield Dataset(*case(), ["a", "b"])
 
 
-def assert_stages_match_lone_configurations(case_seed, datasets=None):
+def assert_stages_match_lone_configurations(case_seed, workers, datasets=None):
     """Search random stage groups at one and two workers; every entry must
     equal its configuration's lone evaluation, bit for bit and message for
     message."""
@@ -768,7 +772,8 @@ def assert_stages_match_lone_configurations(case_seed, datasets=None):
         folds = prepare_folds(ds, fold_of, scaler)
         expected = [lone_outcome(cfg, folds, seed) for cfg in configs]
         for threads in (1, 2):
-            report = modelsel._run_search(ds, configs, 3, seed, scaler, "random", None, threads)
+            workers(threads)
+            report = modelsel._run_search(ds, configs, 3, seed, scaler, "random", None)
             assert [e.config for e in report.entries] == configs
             got = [(e.cv_ber.hex(), e.error, e.error_class) for e in report.entries]
             assert got == expected, (case_seed, d, threads)
@@ -799,14 +804,16 @@ def failing(original, every, error):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+    """Two CPUs on any machine, and a call that sets KERNELCAST_THREADS."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return lambda threads: monkeypatch.setenv(parallel.ENV_VAR, str(threads))
 
 
 @pytest.mark.parametrize("case_seed", range(4))
 def test_stage_evaluation_equals_lone_evaluation(case_seed, two_workers):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # empty truth classes, overflow
-        assert_stages_match_lone_configurations(case_seed)
+        assert_stages_match_lone_configurations(case_seed, two_workers)
 
 
 @pytest.mark.parametrize("case_seed", range(3))
@@ -818,7 +825,7 @@ def test_stage_products_fail_only_the_configurations_that_reach_them(case_seed, 
     ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=case_seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert_stages_match_lone_configurations(10 + case_seed, [ds, ds])
+        assert_stages_match_lone_configurations(10 + case_seed, two_workers, [ds, ds])
 
 
 def test_a_configuration_failing_between_two_survivors_leaves_their_scores(monkeypatch,
@@ -844,7 +851,8 @@ def test_a_configuration_failing_between_two_survivors_leaves_their_scores(monke
     expected = [lone_outcome(cfg, folds, 6) for cfg in configs]
     assert [error for _, error, _ in expected] == [None, "gnb_fit failed on the second fold", None]
     for threads in (1, 2):
-        report = modelsel._run_search(ds, configs, 3, 6, "none", "random", None, threads)
+        two_workers(threads)
+        report = modelsel._run_search(ds, configs, 3, 6, "none", "random", None)
         assert [(e.cv_ber.hex(), e.error, e.error_class) for e in report.entries] == expected
 
 
@@ -856,6 +864,7 @@ def test_a_programming_error_in_a_stage_product_stops_the_search(target, monkeyp
     ds = make_blobs(n_per_class=15, spread=1.0, gap=2.0, seed=3)
     configs = [c for c in enumerate_grid() if c.k_references == 4 and c.sampler == "random"]
     for threads in (1, 2):
+        two_workers(threads)
         with pytest.raises(TypeError, match=f"^{target} failed on "):
-            modelsel._run_search(ds, configs, 3, 0, "none", "grid", None, threads)
+            modelsel._run_search(ds, configs, 3, 0, "none", "grid", None)
     assert_no_child_process()

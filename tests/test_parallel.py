@@ -36,6 +36,14 @@ def no_process_outlives_the_test():
 
 
 @pytest.fixture
+def workers(monkeypatch):
+    """Set KERNELCAST_THREADS, the pool's only worker-count setting, to ``n``."""
+    def use(n):
+        monkeypatch.setenv(parallel.ENV_VAR, str(n))
+    return use
+
+
+@pytest.fixture
 def meet():
     """A call for items to make so that the caller and a worker each take one.
 
@@ -57,15 +65,16 @@ def meet():
 
 @pytest.mark.parametrize("count,threads", [(11, 2), (2, 3)],
                          ids=["11-items-over-8-chunks", "fewer-items-than-workers"])
-def test_results_come_back_in_input_order(cpus, meet, count, threads):
+def test_results_come_back_in_input_order(cpus, workers, meet, count, threads):
     cpus(threads)
+    workers(threads)
     items = list(range(100, 100 + count))
 
     def tagged(item):
         meet()
         return item, os.getpid()
 
-    results = parallel.map_indexed(tagged, items, threads)
+    results = parallel.map_indexed(tagged, items)
     assert [item for item, _ in results] == items
     pids = {pid for _, pid in results}
     assert PARENT in pids and len(pids) == 2  # the caller and its one worker
@@ -77,21 +86,23 @@ def fail_in_workers(item):
     return item
 
 
-def test_worker_error_reraises_in_the_parent(cpus, meet):
+def test_worker_error_reraises_in_the_parent(cpus, workers, meet):
     cpus(2)
+    workers(2)
 
     def fail(item):
         meet()
         return fail_in_workers(item)
 
     with pytest.raises(TypeError, match="simulated bug on item") as failure:
-        parallel.map_indexed(fail, list(range(10)), 2)
+        parallel.map_indexed(fail, list(range(10)))
     cause = str(failure.value.__cause__)  # the worker's own traceback, as text
     assert "Traceback (most recent call last)" in cause and "in fail_in_workers" in cause
 
 
-def test_dead_worker_raises_child_process_error(cpus, meet):
+def test_dead_worker_raises_child_process_error(cpus, workers, meet):
     cpus(2)
+    workers(2)
 
     def die(item):
         meet()
@@ -101,7 +112,7 @@ def test_dead_worker_raises_child_process_error(cpus, meet):
 
     with pytest.raises(ChildProcessError, match=r"worker \d+ exited without a result "
                                                 r"\(wait status 768\)"):
-        parallel.map_indexed(die, list(range(6)), 2)
+        parallel.map_indexed(die, list(range(6)))
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
@@ -109,8 +120,9 @@ def test_dead_worker_raises_child_process_error(cpus, meet):
                                            ("worker-exit", ChildProcessError),
                                            ("caller-error", TypeError)],
                          ids=["success", "worker-error", "worker-exit", "caller-error"])
-def test_no_descriptor_or_process_is_left_behind(cpus, meet, failure, error):
+def test_no_descriptor_or_process_is_left_behind(cpus, workers, meet, failure, error):
     cpus(2)
+    workers(2)
 
     def item_fn(item):
         meet()
@@ -125,10 +137,10 @@ def test_no_descriptor_or_process_is_left_behind(cpus, meet, failure, error):
 
     before, started = sorted(os.listdir("/proc/self/fd")), time.monotonic()
     if error is None:
-        assert parallel.map_indexed(item_fn, list(range(4)), 2) == list(range(4))
+        assert parallel.map_indexed(item_fn, list(range(4))) == list(range(4))
     else:
         with pytest.raises(error):
-            parallel.map_indexed(item_fn, list(range(4)), 2)
+            parallel.map_indexed(item_fn, list(range(4)))
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert time.monotonic() - started < 5
     # no_process_outlives_the_test checks that every worker was reaped.
@@ -147,14 +159,17 @@ class SliceLog(list):
         return super().__getitem__(index)
 
 
-def test_worker_count_is_capped_at_cpus_and_chunks(cpus, monkeypatch):
+def test_worker_count_is_capped_at_cpus_and_chunks(cpus, workers, monkeypatch):
     cpus(3)
-    assert parallel.thread_limit(100000) == 3
-    assert parallel.thread_limit(0) == 3
-    assert parallel.thread_limit(100000, n_items=2) == 2
-    assert parallel.thread_limit(100000, n_items=0) == 1
-    monkeypatch.setenv(parallel.ENV_VAR, "100000")
-    assert parallel.thread_limit() == 3
+    for zero in ("0", "00"):  # one per CPU
+        workers(zero)
+        assert parallel.thread_limit() == 3
+    monkeypatch.delenv(parallel.ENV_VAR)
+    assert parallel.thread_limit(None) == 1  # unset: sequential
+    workers(100000)
+    assert parallel.thread_limit(n_items=2) == 2
+    assert parallel.thread_limit(0) == 1
+    assert parallel.thread_limit(None) == 3
 
     forks, fork = [], os.fork
 
@@ -211,8 +226,8 @@ def test_importing_the_package_loads_no_process_machinery():
     code = ("import os, sys, kernelcast.cli; from kernelcast import parallel; "
             "loaded = lambda: sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)); "
             "print(loaded()); os.cpu_count = lambda: 2; "
-            "assert parallel.map_indexed(abs, [-1, -2, -3], 2) == [1, 2, 3]; print(loaded())")
-    env = {**os.environ, "PYTHONPATH": str(src)}
+            "assert parallel.map_indexed(abs, [-1, -2, -3]) == [1, 2, 3]; print(loaded())")
+    env = {**os.environ, parallel.ENV_VAR: "2", "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["[]", "[]"]  # after the import, and after a 2-worker map

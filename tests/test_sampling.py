@@ -20,18 +20,23 @@ def flat(features, labels=None):
     return Dataset(features, labels, ["a", "b"])
 
 
+def geo_of(ds):
+    """A fresh TrainingGeometry of a dataset's rows: what every sampler takes."""
+    return geometry.TrainingGeometry(ds.features)
+
+
 # ---------------------------------------------------------------- random
 
 def test_random_exhaustive_when_k_equals_n():
     ds = flat(np.arange(10.0).reshape(5, 2))
-    picked = sample_random(ds, 5, seed=3)
+    picked = sample_random(geo_of(ds), 5, seed=3)
     assert sorted(picked) == [0, 1, 2, 3, 4]
 
 
 def test_random_deterministic_per_seed():
     ds = flat(np.random.default_rng(0).normal(size=(30, 2)))
-    assert sample_random(ds, 7, seed=5) == sample_random(ds, 7, seed=5)
-    assert sample_random(ds, 7, seed=5) != sample_random(ds, 7, seed=6)
+    assert sample_random(geo_of(ds), 7, seed=5) == sample_random(geo_of(ds), 7, seed=5)
+    assert sample_random(geo_of(ds), 7, seed=5) != sample_random(geo_of(ds), 7, seed=6)
 
 
 def test_random_uniform_frequency():
@@ -40,7 +45,7 @@ def test_random_uniform_frequency():
     trials = 10_000
     counts = np.zeros(10)
     for t in range(trials):
-        counts[sample_random(ds, 1, seed=t)[0]] += 1
+        counts[sample_random(geo_of(ds), 1, seed=t)[0]] += 1
     freqs = counts / trials
     sigma = math.sqrt(0.1 * 0.9 / trials)
     assert np.all(np.abs(freqs - 0.1) <= 3 * sigma)
@@ -49,9 +54,9 @@ def test_random_uniform_frequency():
 def test_random_rejects_bad_k():
     ds = flat(np.ones((4, 2)))
     with pytest.raises(SamplingError):
-        sample_random(ds, 5, seed=0)
+        sample_random(geo_of(ds), 5, seed=0)
     with pytest.raises(SamplingError):
-        sample_random(ds, 0, seed=0)
+        sample_random(geo_of(ds), 0, seed=0)
 
 
 # ---------------------------------------------------------------- kmeans
@@ -92,15 +97,15 @@ def test_kmeans_duplicate_heavy_data_survives():
     # more clusters than distinct positions exercises the reseeding path
     feats = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
     ds = flat(feats)
-    refs = sample_kmeans(ds, 5, seed=9)
+    refs = sample_kmeans(geo_of(ds), 5, seed=9)
     assert refs.k == 5
     assert np.all(refs.sigmas > 0)
 
 
 def test_sample_kmeans_tags_and_determinism():
     ds = flat(np.random.default_rng(5).normal(size=(50, 3)))
-    a = sample_kmeans(ds, 6, seed=11)
-    b = sample_kmeans(ds, 6, seed=11)
+    a = sample_kmeans(geo_of(ds), 6, seed=11)
+    b = sample_kmeans(geo_of(ds), 6, seed=11)
     assert a.kind_used == "kmeans" and a.distance_used == "euclidean"
     assert a.ref_type == "centroids"
     assert np.array_equal(a.refs, b.refs) and np.array_equal(a.sigmas, b.sigmas)
@@ -110,7 +115,7 @@ def test_sample_kmeans_tags_and_determinism():
 
 def test_density_even_partition():
     ds = flat(np.random.default_rng(6).normal(size=(9, 2)))
-    centers, regions = sample_density(ds, 3, "euclidean", seed=1)
+    centers, regions = sample_density(geo_of(ds), 3, "euclidean", seed=1)
     assert len(centers) == 3
     sizes = np.bincount(regions)
     assert sizes.tolist() == [3, 3, 3]
@@ -119,14 +124,14 @@ def test_density_even_partition():
 def test_density_remainder_partition():
     # n=10, k=3 -> region size 4 -> batches of 4, 4, 2 and ceil(10/4)=3 centers
     ds = flat(np.random.default_rng(7).normal(size=(10, 2)))
-    centers, regions = sample_density(ds, 3, "euclidean", seed=2)
+    centers, regions = sample_density(geo_of(ds), 3, "euclidean", seed=2)
     assert len(centers) == 3
     assert sorted(np.bincount(regions).tolist()) == [2, 4, 4]
 
 
 def test_density_k_equals_n_every_point_its_own_center():
     ds = flat(np.random.default_rng(8).normal(size=(6, 2)))
-    centers, regions = sample_density(ds, 6, "euclidean", seed=3)
+    centers, regions = sample_density(geo_of(ds), 6, "euclidean", seed=3)
     assert sorted(centers) == list(range(6))
     assert np.bincount(regions).tolist() == [1] * 6
 
@@ -138,7 +143,7 @@ def test_density_partition_invariants(dist):
         n = int(rng.integers(5, 60))
         k = int(rng.integers(1, n + 1))
         ds = flat(rng.normal(size=(n, 3)) + 1.0)
-        centers, regions = sample_density(ds, k, dist, seed=trial)
+        centers, regions = sample_density(geo_of(ds), k, dist, seed=trial)
         size_cap = math.ceil(n / k)
         sizes = np.bincount(regions, minlength=len(centers))
         assert sizes.sum() == n
@@ -151,8 +156,8 @@ def test_density_partition_invariants(dist):
 
 def test_density_deterministic():
     ds = flat(np.random.default_rng(10).normal(size=(25, 2)))
-    a = sample_density(ds, 4, "euclidean", seed=7)
-    b = sample_density(ds, 4, "euclidean", seed=7)
+    a = sample_density(geo_of(ds), 4, "euclidean", seed=7)
+    b = sample_density(geo_of(ds), 4, "euclidean", seed=7)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
@@ -192,8 +197,8 @@ def test_density_equals_the_setdiff_loop(dist):
         for k in sorted({1, 2, n // 3 + 1, n}):
             for seed in range(3):
                 want = loop_density(ds, k, dist, seed)
-                for shared in (None, geo):
-                    centers, regions = sample_density(ds, k, dist, seed, shared)
+                for shared in (geo_of(ds), geo):
+                    centers, regions = sample_density(shared, k, dist, seed)
                     assert centers == want[0] and regions.tolist() == want[1].tolist()
 
 
@@ -204,8 +209,8 @@ def test_shared_geometry_gives_each_reference_set_its_own_bytes(sampler):
     geo = geometry.TrainingGeometry(ds.features)
     for k, dist, ref_type, seed in [(4, "euclidean", "centers", 0), (9, "angle", "centroids", 1),
                                     (16, "euclidean", "centroids", 2), (5, "angle", "centers", 3)]:
-        alone = make_reference_set(ds, sampler, k, dist, ref_type, seed)
-        shared = make_reference_set(ds, sampler, k, dist, ref_type, seed, geo)
+        alone = make_reference_set(geo_of(ds), sampler, k, dist, ref_type, seed)
+        shared = make_reference_set(geo, sampler, k, dist, ref_type, seed)
         assert alone.refs.tobytes() == shared.refs.tobytes()
         assert alone.sigmas.tobytes() == shared.sigmas.tobytes()
 
@@ -214,7 +219,7 @@ def test_shared_geometry_gives_each_reference_set_its_own_bytes(sampler):
 
 def test_fft_hand_trace():
     feats = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 5.0], [0.0, 1.0]])
-    centers, radii = fft_traverse(feats, 3, "euclidean", first=0)
+    centers, radii = fft_traverse(geometry.TrainingGeometry(feats), 3, "euclidean", first=0)
     assert centers == [0, 1, 2]
     assert radii[0] == pytest.approx(10.0)
     assert radii[1] == pytest.approx(math.sqrt(50.0))
@@ -223,8 +228,8 @@ def test_fft_hand_trace():
 def test_fft_radii_non_increasing():
     rng = np.random.default_rng(11)
     for trial in range(10):
-        feats = rng.normal(size=(50, 3))
-        _, radii = fft_traverse(feats, 12, "euclidean", first=int(rng.integers(50)))
+        geo = geometry.TrainingGeometry(rng.normal(size=(50, 3)))
+        _, radii = fft_traverse(geo, 12, "euclidean", first=int(rng.integers(50)))
         for earlier, later in zip(radii, radii[1:]):
             assert later <= earlier + 1e-12
 
@@ -236,7 +241,7 @@ def test_fft_delone_properties(dist):
         n = int(rng.integers(15, 80))
         ds = flat(rng.normal(size=(n, 3)) + 2.0)
         k = int(rng.integers(2, min(n, 20)))
-        centers, radius = sample_fft(ds, k, dist, seed=trial)
+        centers, radius = sample_fft(geo_of(ds), k, dist, seed=trial)
         pts = ds.features[centers]
         sep = geometry.pairwise(dist, pts, pts)
         off_diag = sep[~np.eye(k, dtype=bool)]
@@ -248,7 +253,7 @@ def test_fft_delone_properties(dist):
 def test_fft_k_equals_n_last_radius_is_min_pairwise():
     rng = np.random.default_rng(13)
     ds = flat(rng.normal(size=(12, 2)))
-    centers, radius = sample_fft(ds, 12, "euclidean", seed=4)
+    centers, radius = sample_fft(geo_of(ds), 12, "euclidean", seed=4)
     assert sorted(centers) == list(range(12))
     d = geometry.pairwise("euclidean", ds.features, ds.features)
     assert radius == pytest.approx(d[~np.eye(12, dtype=bool)].min())
@@ -256,7 +261,7 @@ def test_fft_k_equals_n_last_radius_is_min_pairwise():
 
 def test_fft_k1_no_radius():
     ds = flat(np.random.default_rng(14).normal(size=(5, 2)))
-    centers, radius = sample_fft(ds, 1, "euclidean", seed=0)
+    centers, radius = sample_fft(geo_of(ds), 1, "euclidean", seed=0)
     assert len(centers) == 1 and radius is None
 
 
@@ -264,7 +269,7 @@ def test_fft_k1_no_radius():
 
 def test_sigma_is_max_region_distance():
     ds = flat([[0.0, 0.0], [3.0, 4.0]])
-    refs = finalize_references(ds, [0], "centers", "euclidean", "random")
+    refs = finalize_references(geo_of(ds), [0], "centers", "euclidean", "random")
     assert refs.sigmas[0] == pytest.approx(5.0)
     assert np.array_equal(refs.refs, [[0.0, 0.0]])
 
@@ -272,21 +277,21 @@ def test_sigma_is_max_region_distance():
 def test_sigma_fallback_all_singleton_regions():
     # every point its own reference -> all sigmas degenerate -> fallback 1.0
     ds = flat(np.arange(8.0).reshape(4, 2))
-    refs = finalize_references(ds, [0, 1, 2, 3], "centers", "euclidean", "random")
+    refs = finalize_references(geo_of(ds), [0, 1, 2, 3], "centers", "euclidean", "random")
     assert refs.sigmas.tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_sigma_fallback_mean_of_positive():
     # ref 0 owns a spread-out region, ref 1 is an isolated duplicate-free point
     ds = flat([[0.0, 0.0], [6.0, 8.0], [100.0, 100.0]])
-    refs = finalize_references(ds, [0, 2], "centers", "euclidean", "random")
+    refs = finalize_references(geo_of(ds), [0, 2], "centers", "euclidean", "random")
     assert refs.sigmas[0] == pytest.approx(10.0)
     assert refs.sigmas[1] == pytest.approx(10.0)  # degenerate -> mean of positives
 
 
 def test_centroid_conversion_uses_full_training_set():
     ds = flat([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [12.0, 0.0]])
-    refs = finalize_references(ds, [0, 2], "centroids", "euclidean", "random")
+    refs = finalize_references(geo_of(ds), [0, 2], "centroids", "euclidean", "random")
     assert np.allclose(sorted(refs.refs.tolist()), [[1.0, 0.0], [11.0, 0.0]])
 
 
@@ -294,7 +299,7 @@ def test_region_assignment_matches_per_row_recompute():
     rng = np.random.default_rng(15)
     ds = flat(rng.normal(size=(30, 3)))
     picked = [0, 5, 9]
-    refs = finalize_references(ds, picked, "centroids", "euclidean", "random")
+    refs = finalize_references(geo_of(ds), picked, "centroids", "euclidean", "random")
     region = np.array([np.argmin(geometry.pairwise("euclidean", row[None], ds.features[picked]))
                        for row in ds.features])
     for j in range(len(picked)):
@@ -493,8 +498,8 @@ def test_make_reference_set_deterministic(sampler):
     ds = random_dataset(rng, 40, 3)
     dist = "euclidean"
     ref_type = "centroids" if sampler == "kmeans" else "centers"
-    a = make_reference_set(ds, sampler, 6, dist, ref_type, seed=21)
-    b = make_reference_set(ds, sampler, 6, dist, ref_type, seed=21)
+    a = make_reference_set(geo_of(ds), sampler, 6, dist, ref_type, seed=21)
+    b = make_reference_set(geo_of(ds), sampler, 6, dist, ref_type, seed=21)
     assert np.array_equal(a.refs, b.refs)
     assert np.array_equal(a.sigmas, b.sigmas)
     assert a.kind_used == sampler
@@ -504,7 +509,7 @@ def test_make_reference_set_centers_are_training_rows():
     rng = np.random.default_rng(18)
     ds = random_dataset(rng, 25, 4)
     for sampler in ("random", "density", "fft"):
-        refs = make_reference_set(ds, sampler, 5, "euclidean", "centers", seed=3)
+        refs = make_reference_set(geo_of(ds), sampler, 5, "euclidean", "centers", seed=3)
         rows = {tuple(r) for r in ds.features}
         assert all(tuple(r) in rows for r in refs.refs)
 
@@ -513,27 +518,27 @@ def test_make_reference_set_rejects_kmeans_variants():
     ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
     message = "^kmeans sampling requires euclidean distance and centroid references$"
     with pytest.raises(SamplingError, match=message):
-        make_reference_set(ds, "kmeans", 3, "angle", "centroids", seed=0)
+        make_reference_set(geo_of(ds), "kmeans", 3, "angle", "centroids", seed=0)
     with pytest.raises(SamplingError, match=message):
-        make_reference_set(ds, "kmeans", 3, "euclidean", "centers", seed=0)
+        make_reference_set(geo_of(ds), "kmeans", 3, "euclidean", "centers", seed=0)
     with pytest.raises(SamplingError):
-        make_reference_set(ds, "voronoi", 3, "euclidean", "centers", seed=0)
+        make_reference_set(geo_of(ds), "voronoi", 3, "euclidean", "centers", seed=0)
 
 
 def test_make_reference_set_rejects_oversized_k():
     ds = flat(np.ones((4, 2)))
     with pytest.raises(SamplingError):
-        make_reference_set(ds, "random", 9, "euclidean", "centers", seed=0)
+        make_reference_set(geo_of(ds), "random", 9, "euclidean", "centers", seed=0)
 
 
 def test_make_reference_set_rejects_an_unknown_distance():
     ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
     for sampler in ("random", "kmeans"):
         with pytest.raises(SamplingError, match="^unknown distance 'manhattan'$"):
-            make_reference_set(ds, sampler, 3, "manhattan", "centroids", seed=0)
+            make_reference_set(geo_of(ds), sampler, 3, "manhattan", "centroids", seed=0)
 
 
 def test_finalize_references_rejects_an_unknown_reference_type():
     ds = flat(np.random.default_rng(19).normal(size=(10, 2)))
     with pytest.raises(SamplingError, match="^unknown reference type 'medoids'$"):
-        finalize_references(ds, [0, 1], "medoids", "euclidean", "random")
+        finalize_references(geo_of(ds), [0, 1], "medoids", "euclidean", "random")

@@ -255,6 +255,15 @@ BAD_MODELS = [
      "field 'inner.neighbors' must be an integer, got 3.5"),
     ("gnb", setting("true_n_classes", ("inner", "n_classes"), True),
      "field 'inner.n_classes' must be an integer, got True"),
+    # label names that are not a list of distinct strings
+    ("gnb", setting("integer_label_names", ("label_names",), [1, 2]),
+     r"field 'label_names' must be a list of distinct strings, got \[1, 2\]$"),
+    ("knn", setting("null_label_name", ("label_names",), ["a", None]),
+     "field 'label_names' must be a list of distinct strings"),
+    ("gnb", setting("string_label_names", ("label_names",), "xy"),
+     "field 'label_names' must be a list of distinct strings, got 'xy'$"),
+    ("knn", setting("repeated_label_names", ("label_names",), ["x", "x"]),
+     "field 'label_names' must be a list of distinct strings"),
 ]
 
 
@@ -272,6 +281,18 @@ def test_rejects_ensemble_members_with_different_label_names(trained):
     doc["members"][1]["label_names"] = ["c1", "c0"]
     with pytest.raises(FormatError, match="different label_names"):
         from_json(json.dumps(doc))
+
+
+def test_rejects_a_negative_vote_seed(trained):
+    # rand.derive would refuse it at the first tied vote, deep inside predict.
+    doc = json.loads(to_json(trained[2]))
+    doc["vote_seed"] = -1
+    with pytest.raises(FormatError, match="^field 'vote_seed' must be a non-negative integer, "
+                                          "got -1$"):
+        from_json(json.dumps(doc))
+    for seed in (0, 2 ** 70):
+        doc["vote_seed"] = seed
+        assert from_json(json.dumps(doc)).vote_seed == seed
 
 
 def test_rejects_ensemble_members_of_different_widths(trained):

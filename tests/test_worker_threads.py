@@ -34,7 +34,7 @@ def openblas_symbol(name: str):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    # Two workers on any machine, so threads=2 really forks.
+    # Two workers on any machine, so KERNELCAST_THREADS=2 really forks.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
@@ -42,7 +42,7 @@ def threads_of_this_process() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
-def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(two_cpus, meet):
+def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(two_cpus, monkeypatch, meet):
     get = openblas_symbol("scipy_openblas_get_num_threads64_")
     set_threads = openblas_symbol("scipy_openblas_set_num_threads64_")
     if get is None or set_threads is None:
@@ -52,11 +52,12 @@ def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(two_cpus, meet
         meet()  # a worker takes items too
         return os.getpid(), get(), threads_of_this_process()
 
+    monkeypatch.setenv(parallel.ENV_VAR, "2")
     before = get()
     set_threads(2)  # a parent pool wider than one thread, where the library allows it
     try:
         parent = get()
-        seen = parallel.map_indexed(counts, list(range(8)), 2)
+        seen = parallel.map_indexed(counts, list(range(8)))
         after = get()
     finally:
         set_threads(before)
