@@ -14,7 +14,7 @@ from .ensemble import (ConsensusCurve, Ensemble, build_ensemble,
                        consensus_curve, ensemble_predict)
 from .geometry import TrainingGeometry, pairwise
 from .kernelmap import map_dataset
-from .modelsel import (Configuration, KmsModel, SearchReport,
+from .modelsel import (Configuration, KmsModel, SearchReport, Stage,
                        balanced_error_rate, enumerate_grid, evaluate_config,
                        fit_pipeline, grid_search, kms_fit, kms_predict,
                        prepare_fold, prepare_folds, random_search,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "ConsensusCurve", "Dataset", "Ensemble", "KmsModel",
-    "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "TrainingGeometry",
+    "KnnParams", "ReferenceSet", "ScalerSpec", "SearchReport", "Stage", "TrainingGeometry",
     "apply_scaler", "balanced_error_rate", "build_ensemble", "consensus_curve",
     "ensemble_predict", "enumerate_grid", "evaluate_config",
     "finalize_references", "fit_pipeline", "fit_scaler", "grid_search",

@@ -28,6 +28,16 @@ _KEPT_CELLS = 1 << 22
 _UNIT = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).smallest_subnormal
 
+# Margin below each query row's k-th largest cosine c, clipped to [-1, 1], within
+# which the angle shortlist keeps cells.  arccos has slope at least 1 in
+# magnitude, so clipped cosines _COS_MARGIN apart have true angles at least
+# _COS_MARGIN apart; numpy's arccos errs by a few ulps of pi at most, far below
+# that.  Where c - _COS_MARGIN >= -1, a cell below it clips to at most it, so its
+# computed angle is strictly above those of the k cells at or above c, ties by
+# column included.  Rows whose squared norms underflow give cosines far outside
+# [-1, 1], hence the clip; a row whose c - _COS_MARGIN is below -1 keeps every cell.
+_COS_MARGIN = 2.0 ** -40
+
 
 def _check_kind(kind: str) -> None:
     if kind not in DISTANCE_KINDS:
@@ -64,16 +74,16 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.where(norms == 0.0, 1.0, norms)
 
 
-def _unit_angles(ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    # The one angle formula: pairwise and TrainingGeometry call it on unit rows,
-    # so equal operands of equal shapes give equal bits.  It makes one array.
-    cos = ua @ ub.T
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _unit_rows(a) @ _unit_rows(b).T
+
+
+def _arccos(cos: np.ndarray) -> np.ndarray:
+    # The one angle formula, in place.  pairwise, TrainingGeometry and nearest
+    # take it of products of unit rows in the same operand order and shapes,
+    # so equal operands give equal bits.
     np.clip(cos, -1.0, 1.0, out=cos)
     return np.arccos(cos, out=cos)
-
-
-def _angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _unit_angles(_unit_rows(a), _unit_rows(b))
 
 
 def _validated(kind: str, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +111,7 @@ def pairwise(kind: str, a, b) -> np.ndarray:
     a, b = _validated(kind, a, b)
     if kind == "euclidean":
         return _euclidean_matrix(a, b)
-    return _angle_matrix(a, b)
+    return _arccos(_cosines(a, b))
 
 
 class TrainingGeometry:
@@ -131,8 +141,8 @@ class TrainingGeometry:
             if self._units is None:
                 self._units = _unit_rows(self.features)
             units = self._units
-            return _unit_angles(units if rows is None else units[rows],
-                                units if cols is None else units[cols])
+            return _arccos((units if rows is None else units[rows])
+                           @ (units if cols is None else units[cols]).T)
         if cols is not None and (rows is None or len(cols) < len(rows)):
             block = self._euclidean_rows(cols)
             return (block if rows is None else block[:, rows]).T
@@ -191,7 +201,7 @@ def _first_k(cols: np.ndarray, dists: np.ndarray, k: int):
 def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
     """Yield ``(rows, cols, vals)`` per block ``q[rows]`` of query rows: candidates
     packed by ``_pack``, at least k per row and its k nearest among them, and
-    their distances (None for euclidean ones, not yet computed exactly).
+    their cosines for angle (not yet angles), None for euclidean.
     """
     n, d = q.shape
     m = t.shape[0]
@@ -199,9 +209,9 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
     # differences even when every column is kept, stay within _BLOCK_ELEMENTS.
     step = max(1, _BLOCK_ELEMENTS // (m * (d + 8)))
     if kind == "angle":
-        # One full product, read by row blocks: a BLAS product of a row block
-        # need not equal the same rows of the whole product, bit for bit.
-        dists = pairwise(kind, q, t)
+        # One full product, pairwise's, read by row blocks: a BLAS product of
+        # a row block need not equal the same rows of the whole product, bit for bit.
+        cos = _cosines(q, t)
     else:
         # Gram squared distances shortlist the candidates, one product per
         # query block: rows [a, |a|^2, 1] times the training operand
@@ -228,23 +238,29 @@ def _shortlists(kind: str, q: np.ndarray, t: np.ndarray, k: int):
         top = np.sqrt(sq_t.max())
         gamma = (2 * d + 12) * _UNIT / (1.0 - (2 * d + 12) * _UNIT)
     for i in range(0, n, step):
+        # Every entry up to the cutoff, so ties at the k-th value are complete,
+        # and at least k per row: NaN sorts last and compares false, so a row
+        # with fewer than k numbers, a euclidean block whose bound, or a row whose
+        # Gram values are not finite (inf/NaN input, overflowing norms), keeps all.
         if kind == "angle":
-            block = dists[i:i + step]
+            block = cos[i:i + step]
+            # The k-th largest cosine, from a negated copy partitioned in place;
+            # rebinding the name drops the copy before the yield.
+            cutoff = np.negative(block)
+            cutoff.partition(k - 1, axis=1)
+            cutoff = np.clip(-cutoff[:, k - 1], -1.0, 1.0) - _COS_MARGIN
+            cutoff[cutoff < -1.0] = -np.inf
+            yield slice(i, i + step), *_pack(~(block < cutoff[:, None]), k, block)
         else:
             a = q[i:i + step]
             ext_a = ext[:a.shape[0]]
             ext_a[:, :d] = a
             ext_a[:, d] = sq_a = np.einsum("ij,ij->i", a, a)
             block = ext_a @ tt
-        cutoff = np.partition(block, k - 1, axis=1)[:, k - 1]
-        if kind == "euclidean":
+            cutoff = np.partition(block, k - 1, axis=1)[:, k - 1]
             bound = gamma * (np.sqrt(sq_a.max()) + top) ** 2 + (4 * d + 8) * _TINY
             cutoff = (cutoff + bound) * (1.0 + 8 * _UNIT) + (bound + 4 * _TINY)
-        # Every entry up to the cutoff, so ties at the k-th value are complete,
-        # and at least k per row: NaN sorts last and compares false, so a row
-        # with fewer than k numbers, a euclidean block whose bound, or a row whose
-        # Gram values are not finite (inf/NaN input, overflowing norms), keeps all.
-        yield slice(i, i + step), *_pack(~(block > cutoff[:, None]), k, block if kind == "angle" else None)
+            yield slice(i, i + step), *_pack(~(block > cutoff[:, None]), k)
 
 
 def nearest(kind: str, queries, train, k: int,
@@ -258,7 +274,9 @@ def nearest(kind: str, queries, train, k: int,
     those positions, bit for bit.  Neither the full distance matrix nor a
     full sort is needed: a shortlist keeps, per row, every entry up to the
     k-th smallest (euclidean: of the Gram values, widened by a floating-point
-    error bound), and only the shortlist is ranked, on exact distances.
+    error bound; angle: of the negated cosines, widened by a margin that
+    arccos cannot close), and only the shortlist is ranked, on exact
+    distances.  Angles are computed for the shortlisted cosines only.
 
     Unless ``ordered``, ``dists`` is None and a row of ``order`` may hold its
     k rows in any order, which is all a uniform vote needs: a shortlist block
@@ -274,7 +292,9 @@ def nearest(kind: str, queries, train, k: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, cols, vals in _shortlists(kind, q, t, k):
             if ordered or cols.shape[1] > k:
-                if vals is None:  # by _euclidean_matrix's subtraction
+                if kind == "angle":
+                    vals = _arccos(vals)
+                else:  # by _euclidean_matrix's subtraction
                     if padded is None:
                         padded = np.concatenate([t, np.full((1, t.shape[1]), np.nan)])
                     vals = padded[cols]

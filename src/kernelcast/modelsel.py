@@ -355,19 +355,15 @@ def _unkept(made):
     return made
 
 
-def evaluate_config(cfg: Configuration, folds: list[PreparedFold],
-                    references: list[ReferenceSet] | errors.KernelcastError | Stage) -> float:
+def evaluate_config(cfg: Configuration, folds: list[PreparedFold], stage: Stage) -> float:
     """Mean cross-validated balanced error rate of one configuration.
 
     ``folds`` come from ``prepare_folds``.  Each fold fits on the remaining
-    folds only and scores on the held-out rows.  ``references`` are the
-    ``stage_references`` of ``cfg``, the domain error their sampling raised,
-    which fails this configuration too, or a ``Stage`` holding ``cfg`` and
-    either.  The first call on a ``Stage`` evaluates all of its
+    folds only and scores on the held-out rows.  ``stage`` is a ``Stage``
+    holding ``cfg``.  The first call on a ``Stage`` evaluates all of its
     configurations; later calls read their kept results.  The first domain
-    error ``cfg`` meets is raised.
+    error ``cfg`` meets, its stage's sampling error included, is raised.
     """
-    stage = references if isinstance(references, Stage) else Stage([cfg], references)
     if stage.results is None:
         stage.evaluate(folds)
     return _unkept(stage.results[cfg])

@@ -15,4 +15,5 @@ def test_one_configuration_scores_through_top_level_names_as_the_search_scored_i
     assert fold_of.tolist() == report.fold_of.tolist()
     folds = kernelcast.prepare_folds(ds, fold_of, "none")
     references = kernelcast.stage_references(entry.config, folds, 8)
-    assert kernelcast.evaluate_config(entry.config, folds, references) == entry.cv_ber
+    stage = kernelcast.Stage([entry.config], references)
+    assert kernelcast.evaluate_config(entry.config, folds, stage) == entry.cv_ber

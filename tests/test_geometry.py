@@ -516,6 +516,114 @@ def test_shortlists_hold_the_exact_first_k(monkeypatch, make):
     assert partial > 0
 
 
+# ------------------------------------------- the angle shortlist's margin
+
+def scaled_copy_rows(rng, n, m, d):
+    """Copies of one direction at many scales, among random rows: cosines of
+    the copies differ in the last bits, and some round above 1."""
+    v = rng.normal(size=d)
+    rows = [rng.normal(size=(c, d)) for c in (n, m)]
+    for x in rows:
+        copies = rng.random(x.shape[0]) < 0.7
+        x[copies] = v * rng.uniform(0.01, 100.0, size=(copies.sum(), 1))
+    return tuple(rows)
+
+
+def antiparallel_rows(rng, n, m, d):
+    """Copies of one direction and of its opposite: cosines a few ulps from -1 and 1."""
+    v = rng.normal(size=d)
+    return tuple(v * rng.choice([-1.0, 1.0], size=(c, 1)) * rng.uniform(0.01, 100.0, size=(c, 1))
+                 for c in (n, m))
+
+
+def orthogonal_zero_rows(rng, n, m, d):
+    """Zero rows among rows nearly orthogonal to the queries: cosines of order
+    1e-17 round to the zero rows' angle pi/2, a tie by column."""
+    queries = np.zeros((n, d))
+    queries[:, 0] = rng.uniform(0.5, 2.0, size=n)
+    train = rng.normal(size=(m, d))
+    train[:, 0] = 1e-17 * rng.normal(size=m)
+    queries[rng.random(n) < 0.2] = 0.0
+    train[rng.random(m) < 0.3] = 0.0
+    return queries, train
+
+
+def non_finite_angle_rows(rng, n, m, d):
+    rows = scaled_copy_rows(rng, n, m, d)
+    for x in rows:
+        bad = np.flatnonzero(rng.random(x.shape[0]) < 0.2)
+        x[bad, rng.integers(0, d, size=bad.size)] = rng.choice([np.inf, -np.inf, np.nan],
+                                                               size=bad.size)
+    return rows
+
+
+def underflowing_norm_rows(rng, n, m, d):
+    """Copies of one direction and its opposite whose squared norms underflow
+    into subnormals: their unit rows' norms, and the cosines, miss 1 by ~1e-4."""
+    queries, train = antiparallel_rows(rng, n, m, d)
+    return 1e-160 * queries, 1e-160 * train
+
+
+ANGLE_INPUTS = [scaled_copy_rows, antiparallel_rows, orthogonal_zero_rows,
+                non_finite_angle_rows, underflowing_norm_rows]
+
+
+def angle_cases(rng, make, default):
+    """Seeded angle inputs from ``make``, each with a block size and the ks to try."""
+    for _ in range(15):
+        n, m, d = (int(x) for x in rng.integers([1, 2, 2], [25, 30, 8]))
+        queries, train = make(rng, n, m, d)
+        # one and three query rows per block, and the default block size
+        for elements in (m * (d + 8), m * (d + 8) * 3, default):
+            yield queries, train, elements, {1, m // 2 + 1, m - 1, m, m + 2}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make", ANGLE_INPUTS, ids=lambda f: f.__name__)
+def test_angle_shortlist_keeps_every_cell_that_can_rank(monkeypatch, make):
+    # Angles of the shortlisted cosines only, ranked, equal a stable sort of
+    # pairwise's angles, bit for bit, both orders and k from 1 past m.
+    rng = np.random.default_rng(43)
+    for queries, train, elements, ks in angle_cases(rng, make, geometry._BLOCK_ELEMENTS):
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+        for k in ks:
+            assert_nearest_is_stable_argsort_prefix("angle", queries, train, k)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_angle_inputs_need_the_margin(monkeypatch):
+    # The inputs above are sharp: cosines above 1, and distinct cosines whose
+    # angles tie, so a shortlist without the margin misses a cell that ranks.
+    rng = np.random.default_rng(43)
+    default, above_one, missed = geometry._BLOCK_ELEMENTS, 0, 0
+    monkeypatch.setattr(geometry, "_COS_MARGIN", 0.0)
+    for make in ANGLE_INPUTS:
+        for queries, train, elements, ks in angle_cases(rng, make, default):
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+            with np.errstate(invalid="ignore"):
+                above_one += (geometry._cosines(queries, train) > 1).any()
+                full = geometry.pairwise("angle", queries, train)
+                for k in ks:
+                    want = np.argsort(full, axis=1, kind="stable")[:, :k]
+                    for rows, cols, _ in geometry._shortlists("angle", queries, train, min(k, len(train))):
+                        missed += sum(not set(w) <= set(c) for w, c in zip(want[rows].tolist(), cols.tolist()))
+    assert above_one > 0 and missed > 0
+
+
+def test_arccos_separates_cosines_one_margin_apart():
+    # The angle shortlist's one assumption about numpy's arccos: a cosine one
+    # margin below another gets a strictly larger angle, checked densely where
+    # arccos is steepest (near -1 and 1) and flattest (near 0).
+    margin = geometry._COS_MARGIN
+    steps = np.arange(-300_000, 300_001)
+    for centre in (-1.0 + margin, 0.0, 1.0):
+        for spacing in (np.spacing(centre) if centre else 2.0 ** -80, margin / 7):
+            c = centre + spacing * steps
+            c = c[(c - margin >= -1.0) & (c <= 1.0)]
+            assert c.size > 300_000
+            assert (np.arccos(c - margin) > np.arccos(c)).all(), centre
+
+
 # ------------------------------------------------------ transient memory
 
 def traced_peak(fn, *args):

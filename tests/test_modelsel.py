@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
+import types
 import warnings
 
 import numpy as np
@@ -15,7 +18,7 @@ from kernelcast.data import SCALER_KINDS, Dataset, make_folds
 from kernelcast.errors import KernelcastError
 from kernelcast.geometry import DISTANCE_KINDS
 from kernelcast.modelsel import (K_REFERENCE_CHOICES, KNN_NEIGHBOR_CHOICES,
-                                 Configuration, SearchError,
+                                 Configuration, SearchError, Stage,
                                  balanced_error_rate, config_digest,
                                  enumerate_grid, evaluate_config,
                                  fit_pipeline, grid_search, kms_fit,
@@ -338,6 +341,17 @@ def test_config_rejects_invalid_combinations():
             knn_config(**{field: value})
 
 
+@pytest.mark.parametrize("classifier", ["knn", "gnb"])
+def test_a_single_reference_is_a_valid_budget(classifier):
+    gnb = {} if classifier == "knn" else {"classifier": "gnb", "knn": None}
+    cfg = knn_config(k_references=1, **gnb)
+    ds = make_blobs(n_per_class=10, spread=0.3, seed=4)
+    model = fit_on(cfg, ds, seed=3)
+    assert model.refs.refs.shape == (1, ds.dim)
+    predicted = pipeline_predict(model, ds.features)
+    assert predicted.shape == (ds.n,) and set(predicted.tolist()) <= set(range(ds.n_classes))
+
+
 # --------------------------------------------------------------- search
 
 def test_search_solves_separable_blobs():
@@ -488,9 +502,9 @@ def test_evaluate_config_mean_over_folds():
     folds = make_folds(ds, 3, seed=0)
     cfg = knn_config(k_references=8)
     prepared = prepare_folds(ds, folds, cfg.scaler)
-    score = evaluate_config(cfg, prepared, stage_references(cfg, prepared, 13))
+    score = evaluate_config(cfg, prepared, Stage([cfg], stage_references(cfg, prepared, 13)))
     # sampled again, now with the folds' distances kept
-    again = evaluate_config(cfg, prepared, stage_references(cfg, prepared, 13))
+    again = evaluate_config(cfg, prepared, Stage([cfg], stage_references(cfg, prepared, 13)))
     assert score == again
     assert 0.0 <= score <= 2.0
 
@@ -503,7 +517,7 @@ def test_evaluate_config_propagates_failures():
     wider = Dataset(np.hstack([ds.features, ds.features[:, :1]]), ds.labels, ds.label_names)
     references = stage_references(cfg, prepare_folds(wider, folds, cfg.scaler), 0)
     with pytest.raises(KernelError, match="does not match reference width"):
-        evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), references)
+        evaluate_config(cfg, prepare_folds(ds, folds, cfg.scaler), Stage([cfg], references))
 
 
 def test_evaluate_config_reraises_the_stage_error_without_sampling(monkeypatch):
@@ -514,9 +528,10 @@ def test_evaluate_config_reraises_the_stage_error_without_sampling(monkeypatch):
         stage_references(cfg, folds, 0)
     sampled = []
     monkeypatch.setattr(modelsel, "make_reference_set", lambda *a, **kw: sampled.append(a))
+    failed = Stage([cfg], stage.value)
     for _ in range(2):  # every configuration of the stage gets the same error
         with pytest.raises(SamplingError) as failure:
-            evaluate_config(cfg, folds, stage.value)
+            evaluate_config(cfg, folds, failed)
         assert str(failure.value) == str(stage.value)
     assert sampled == []
 
@@ -573,6 +588,17 @@ def test_search_samples_each_stage_once_per_fold(monkeypatch):
     stages = {stage_digest(e.config) for e in report.entries}
     assert all(e.error is None for e in report.entries)
     assert len(calls) == 3 * len(stages) < 3 * len(report.entries)
+
+
+def test_entry_wall_time_is_its_stage_time_over_the_stage_size(monkeypatch):
+    monkeypatch.delenv(parallel.ENV_VAR, raising=False)  # stages run in turn, in this process
+    ticks = itertools.count(step=12.0)  # every clock reading 12 s after the one before
+    monkeypatch.setattr(modelsel, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    report = random_search(make_blobs(n_per_class=20, seed=3), sample_size=40, fold_count=3, seed=5)
+    sizes = collections.Counter(stage_digest(e.config) for e in report.entries)
+    assert len(set(sizes.values())) > 1
+    assert [e.wall_time for e in report.entries] == [
+        12.0 / sizes[stage_digest(e.config)] for e in report.entries]
 
 
 def test_failing_stage_fails_every_configuration_with_one_message():
@@ -650,11 +676,12 @@ def test_evaluate_config_samples_the_stage_as_the_search_does():
             references = stage_references(e.config, folds, 8)
         except KernelcastError as exc:
             references = exc
+        stage = Stage([e.config], references)
         if e.error is None:
-            assert evaluate_config(e.config, folds, references) == e.cv_ber
+            assert evaluate_config(e.config, folds, stage) == e.cv_ber
         else:
             with pytest.raises(KernelcastError) as failure:
-                evaluate_config(e.config, folds, references)
+                evaluate_config(e.config, folds, stage)
             assert str(failure.value) == e.error
 
 
