@@ -243,25 +243,22 @@ def sample_references(cfg: Configuration, fold: PreparedFold, seed: int) -> Refe
                               cfg.ref_type, seed)
 
 
-def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet,
-                 mapped: Dataset | None = None) -> KmsModel:
-    """Fit the kernel map and internal classifier on one prepared fold.
+def fit_pipeline(cfg: Configuration, fold: PreparedFold, refs: ReferenceSet) -> KmsModel:
+    """Map one prepared fold's training rows and fit the internal classifier on them.
 
     ``fold`` is scaled by the configuration's scaler kind, and ``refs`` are
-    its stage's references sampled on the fold's rows; ``mapped`` holds the
-    fold's training rows already mapped by ``cfg.kernel``, if at hand.
+    its stage's references sampled on the fold's rows.  ``kms_fit`` calls
+    this; a search fits from its stage's products and builds no model.
     """
-    if mapped is None:
-        mapped = map_dataset(fold.train, refs, cfg.kernel)
+    mapped = map_dataset(fold.train, refs, cfg.kernel)
     inner = knn_fit(mapped, cfg.knn) if cfg.classifier == "knn" else gnb_fit(mapped)
     return KmsModel(cfg, fold.scaler, refs, inner, list(fold.train.label_names))
 
 
-def pipeline_predict(model: KmsModel, features: np.ndarray, mapped: bool = False) -> np.ndarray:
-    """Scale, map, and classify raw query rows, or classify rows already ``mapped``."""
-    if not mapped:
-        features = map_matrix(model.scaler.transform(np.asarray(features, dtype=np.float64)),
-                              model.refs, model.config.kernel)
+def pipeline_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
+    """Scale, map, and classify raw query rows."""
+    features = map_matrix(model.scaler.transform(np.asarray(features, dtype=np.float64)),
+                          model.refs, model.config.kernel)
     if model.config.classifier == "knn":
         return knn_predict(model.inner, features)
     return gnb_predict(model.inner, features)
@@ -314,14 +311,14 @@ class Stage:
                  refs: ReferenceSet) -> np.ndarray:
         """``cfg``'s labels for fold ``i``'s held-out rows, meeting the products in its order."""
         train = self.product(("train", i, cfg.kernel), map_dataset, fold.train, refs, cfg.kernel)
-        fitted = None if cfg.knn else fit_pipeline(cfg, fold, refs, train)  # GNB only
+        fitted = None if cfg.knn else gnb_fit(train)  # GNB only, fitted before held-out products
         # The held-out rows, scaled and mapped as pipeline_predict does it.
         scaled = self.product(("scaled", i), fold.scaler.transform, fold.held_out.features)
         dists = self.product(("dists", i), geometry.pairwise, refs.distance_used, scaled, refs.refs)
         held_out = self.product(("held-out", i, cfg.kernel), map_matrix, scaled, refs,
                                 cfg.kernel, dists)
         if fitted is not None:
-            return pipeline_predict(fitted, held_out, mapped=True)
+            return gnb_predict(fitted, held_out)
         order, near = self.product(("nearest", i, cfg.kernel, cfg.knn.distance), geometry.nearest,
                                    cfg.knn.distance, held_out, train.features,
                                    *self.ranks[cfg.kernel, cfg.knn.distance])
@@ -502,6 +499,6 @@ def kms_fit(cfg: Configuration, ds: Dataset, seed: int,
     return model
 
 
-# One function under two names: perfbench/tracing.py wraps modelsel's
-# pipeline_predict (the search) apart from cli's and ensemble's kms_predict.
-kms_predict = pipeline_predict
+def kms_predict(model: KmsModel, features: np.ndarray) -> np.ndarray:
+    # Through this module's global, so predicts reach perfbench/tracing.py's pipeline_predict target.
+    return pipeline_predict(model, features)

@@ -266,8 +266,6 @@ def finalize_references(geo, picked: list[int], ref_type: str, dist: str,
     training rows whose nearest reference is c.  Centroids are not rows, so
     distances to them come from ``pairwise``.
     """
-    if ref_type not in REF_TYPES:
-        raise SamplingError(f"unknown reference type {ref_type!r}")
     picked = np.asarray(picked, dtype=np.int64)
     refs = geo.features[picked]
     dists = geo.distances(dist, None, picked)

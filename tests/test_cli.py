@@ -564,6 +564,7 @@ def output_argv(command, workdir, tmp_path):
 @pytest.mark.parametrize("command", ["predict", "consensus", "benchmark"])
 def test_failed_output_write_keeps_previous_file(workdir, tmp_path, monkeypatch, capsys,
                                                  command):
+    monkeypatch.delenv("KERNELCAST_THREADS", raising=False)  # a worker's result pipe opens too
     argv = output_argv(command, workdir, tmp_path)
     out = tmp_path / "out" / "result"
     out.parent.mkdir()

@@ -575,6 +575,7 @@ def test_random_search_entries_equal_their_grid_search_entries(monkeypatch):
 
 
 def test_search_samples_each_stage_once_per_fold(monkeypatch):
+    monkeypatch.delenv(parallel.ENV_VAR, raising=False)  # stages sample in this process
     calls = []
     sample = modelsel.make_reference_set
 
@@ -588,6 +589,16 @@ def test_search_samples_each_stage_once_per_fold(monkeypatch):
     stages = {stage_digest(e.config) for e in report.entries}
     assert all(e.error is None for e in report.entries)
     assert len(calls) == 3 * len(stages) < 3 * len(report.entries)
+
+
+def test_a_search_builds_no_fitted_model(monkeypatch):
+    def no_model(*args):
+        raise AssertionError("a search built a KmsModel")
+
+    monkeypatch.setattr(modelsel, "KmsModel", no_model)
+    report = random_search(make_blobs(n_per_class=20, seed=3), sample_size=40, fold_count=3, seed=5)
+    viable = {e.config.classifier for e in report.entries if e.error is None}
+    assert viable == {"gnb", "knn"}
 
 
 def test_entry_wall_time_is_its_stage_time_over_the_stage_size(monkeypatch):
